@@ -15,6 +15,7 @@ times go to the side report only.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import struct
 import sys
@@ -29,6 +30,8 @@ from .config import (ConfigError, config_hash, load_config,
 from .extinction import fixed_point_residual, generation_curve
 from .simulate import SimulationLimits, estimate_survival, martingale_check, simulate
 from .spectral import principal_eigenpair
+
+log = logging.getLogger("gfdlab")
 
 # ladder of candidate generation limits for the sweep censor; a cell's
 # limit is raised along it until the recursion's own tail bound says
@@ -47,7 +50,7 @@ _CSV_COLUMNS = (
     "power_converged", "p_x0", "generations", "extinction_tag", "gen_limit",
     "survival", "wilson_low", "wilson_high", "trials", "survived",
     "cens_generation_limit", "cens_population_cap", "cens_time_horizon",
-    "cens_immortal", "cens_event_budget", "consistency",
+    "cens_immortal", "cens_event_budget", "consistency", "censor_bias",
 )
 
 _EVENT_RECORD = struct.Struct("<dQBd")   # time, individual id, tag, fraction
@@ -75,6 +78,8 @@ class SweepRow:
     survived: int
     censored: dict
     consistency: str = "INCONCLUSIVE"
+    # |p(x0) - p_G(x0)| at the ladder rung G taken for the censor
+    censor_bias: float = float("nan")
 
     @property
     def converged(self):
@@ -158,6 +163,11 @@ def _sweep_cell(model, solver, sim, S, D, x0, seed, workers):
 
     need = next((g for g in CENSOR_LADDER
                  if abs(p_x0 - curve[g]) < CENSOR_BIAS_TOL), CENSOR_LADDER[-1])
+    censor_bias = abs(p_x0 - curve[need])
+    if not censor_bias < CENSOR_BIAS_TOL:
+        log.warning("S=%r D=%r: censoring at generation %d misstates survival "
+                    "by %.3e, above the tolerance %.1e", S, D, need,
+                    censor_bias, CENSOR_BIAS_TOL)
     gen_limit = max(sim.gen_limit, need)
     limits = SimulationLimits(gen_limit=gen_limit, pop_cap=sim.pop_cap,
                               time_horizon=sim.time_horizon)
@@ -174,7 +184,8 @@ def _sweep_cell(model, solver, sim, S, D, x0, seed, workers):
         extinction_tag=prof.tag, gen_limit=gen_limit,
         survival=est.estimate, wilson_low=est.wilson_low,
         wilson_high=est.wilson_high, trials=est.n_trials,
-        survived=est.n_survived, censored=dict(est.censored))
+        survived=est.n_survived, censored=dict(est.censored),
+        censor_bias=censor_bias)
     row.consistency = classify_row(row.eigenvalue, row.p_x0, row.wilson_low)
     return row, sol, prof, timings
 
@@ -187,7 +198,7 @@ def _row_csv(row):
              _f(row.p_x0), str(row.generations), row.extinction_tag,
              str(row.gen_limit), _f(row.survival), _f(row.wilson_low),
              _f(row.wilson_high), str(row.trials), str(row.survived),
-             *[str(c) for c in cens], row.consistency]
+             *[str(c) for c in cens], row.consistency, _f(row.censor_bias)]
     return ",".join(cells)
 
 

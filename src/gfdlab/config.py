@@ -207,9 +207,11 @@ class SolverSettings:
     grid_n: int = 512
     extinction_tol: float = 1e-8
     max_generations: int = 10000
+    # the spectral solve's inverse-iteration steps: stop once both
+    # scale-relative eigen-residuals are below power_tol, give up
+    # (unconverged) after power_max_iter steps
     power_tol: float = 1e-10
     power_max_iter: int = 200000
-    ode_rtol: float = 1e-10
     alpha_nodes: int = 129
 
     def __post_init__(self):
@@ -257,7 +259,7 @@ _KNOWN_KEYS = {
     "kernel": ("family", "l0", "l1", "beta"),
     "environment": ("s_values", "d_values"),
     "solver": ("grid_n", "extinction_tol", "max_generations", "power_tol",
-               "power_max_iter", "ode_rtol", "alpha_nodes"),
+               "power_max_iter", "alpha_nodes"),
     "simulation": ("trials", "gen_limit", "pop_cap", "time_horizon",
                    "seed", "x0", "workers"),
 }
@@ -399,8 +401,6 @@ def load_config(source):
             "solver", "power_tol", get("solver", "power_tol", "1e-10")),
         power_max_iter=_parse_int(
             "solver", "power_max_iter", get("solver", "power_max_iter", "200000")),
-        ode_rtol=_parse_float(
-            "solver", "ode_rtol", get("solver", "ode_rtol", "1e-10")),
         alpha_nodes=_parse_int(
             "solver", "alpha_nodes", get("solver", "alpha_nodes", "129")),
     )
@@ -459,7 +459,6 @@ def write_config(cfg, path=None):
     buf.write(f"max_generations = {s.max_generations}\n")
     buf.write(f"power_tol = {_fmt(s.power_tol)}\n")
     buf.write(f"power_max_iter = {s.power_max_iter}\n")
-    buf.write(f"ode_rtol = {_fmt(s.ode_rtol)}\n")
     buf.write(f"alpha_nodes = {s.alpha_nodes}\n")
     sim = cfg.simulation
     buf.write("\n[simulation]\n")

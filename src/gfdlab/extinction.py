@@ -81,16 +81,35 @@ class ExtinctionProfile:
                 fh.write(f"{float(xi)!r},{float(pi)!r}\n")
 
 
-class _Stepper:
+class _Daughters:
+    """Division rate and two-daughter quadrature tables, n x k each."""
+
+    def __init__(self, model, S, grid, alpha_nodes=129):
+        self.grid = grid
+        x = grid.x
+        self.b = np.asarray(model.b(S, x), dtype=float)
+        self.alpha, self.wq = support_quadrature_batch(
+            model.kernel, x, alpha_nodes)
+        self._a_lo = self.alpha * x[:, None]
+        self._a_hi = (1.0 - self.alpha) * x[:, None]
+
+    def two_daughter_term(self, p):
+        """Phi(y_j) = int q(y_j, a) p(a y_j) p((1-a) y_j) da on the grid."""
+        x = self.grid.x
+        low = np.interp(self._a_lo, x, p)
+        high = np.interp(self._a_hi, x, p)
+        return (self.wq * low * high).sum(axis=1)
+
+
+class _Stepper(_Daughters):
     """Precomputed one-generation update for a fixed (model, S, D, grid)."""
 
     def __init__(self, model, S, D, grid, alpha_nodes=129):
-        self.model, self.S, self.D, self.grid = model, float(S), float(D), grid
         x, h = grid.x, grid.h
         g = np.asarray(model.g(S, x), dtype=float)
         if np.any(g <= 0):
             raise ValueError("growth must be positive on the interior grid")
-        self.b = np.asarray(model.b(S, x), dtype=float)
+        super().__init__(model, S, grid, alpha_nodes)
         rate = self.b + D
         c = h * rate / g
         cum = np.cumsum(c)
@@ -113,17 +132,6 @@ class _Stepper:
         with np.errstate(invalid="ignore", divide="ignore"):
             self.death_frac = np.where(rate > 0, D / rate, 0.0)
             self.birth_frac = np.where(rate > 0, self.b / rate, 0.0)
-        self.alpha, self.wq = support_quadrature_batch(
-            model.kernel, x, alpha_nodes)
-        self._a_lo = self.alpha * x[:, None]
-        self._a_hi = (1.0 - self.alpha) * x[:, None]
-
-    def two_daughter_term(self, p):
-        """Phi(y_j) = int q(y_j, a) p(a y_j) p((1-a) y_j) da on the grid."""
-        x = self.grid.x
-        low = np.interp(self._a_lo, x, p)
-        high = np.interp(self._a_hi, x, p)
-        return (self.wq * low * high).sum(axis=1)
 
     def step(self, p):
         phi = self.two_daughter_term(p)
@@ -230,12 +238,12 @@ def fixed_point_residual(profile, model, S, D, alpha_nodes=129):
     ends), so the defect measures solver plus differencing error.
     """
     grid = profile.grid
-    stepper = _Stepper(model, S, D, grid, alpha_nodes)
+    daughters = _Daughters(model, S, grid, alpha_nodes)
     p = np.asarray(profile.values, dtype=float)
     g = np.asarray(model.g(S, grid.x), dtype=float)
     dp = np.gradient(p, grid.x)
-    phi = stepper.two_daughter_term(p)
-    res = g * dp + D * (1.0 - p) + stepper.b * (phi - p)
+    phi = daughters.two_daughter_term(p)
+    res = g * dp + D * (1.0 - p) + daughters.b * (phi - p)
     return float(np.max(np.abs(res)))
 
 

@@ -13,8 +13,9 @@ fluxes (growth is rightward, and g vanishes at both ends so no flux
 enters or leaves). The fragmentation block is renormalized per column so
 each divider deposits exactly two daughters of discrete unit mass; the
 balance identity sum_i h (A f)_i = sum_j h (b_j - D) f_j then holds to
-rounding. The resulting matrix is Metzler, so I + dt A is non-negative
-for small dt and two-sided power iteration finds the Perron pair.
+rounding. The resulting matrix is Metzler, so for a shift sigma above
+Lambda, sigma I - A is an M-matrix with a non-negative inverse; inverse
+iteration on it finds the Perron pair in steps that do not grow with n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .extinction import MassGrid
 from .kernels import support_quadrature_batch
@@ -57,7 +59,7 @@ class SpectralSolution:
     residual_adjoint: float
     iterations: int
     converged: bool
-    dt: float
+    shift: float
     lambda_plus_D_positive: bool
 
     def u_at(self, x):
@@ -199,46 +201,44 @@ def eigen_residual(op, eigenvalue, u, v=None):
 
 def principal_eigenpair(model, S, D, grid_n=512, tol=1e-10, max_iter=200000,
                         grid=None):
-    """Perron eigenvalue and eigenvectors by two-sided power iteration.
+    """Perron eigenvalue and eigenvectors by two-sided inverse iteration.
 
-    Iterates P = I + dt A with dt = 0.9 / max |diag A|, which is
-    entrywise non-negative, so positivity of the pair comes for free.
-    The eigenvalue estimate is the two-sided Rayleigh quotient
-    v A u / (v u). Convergence is judged on the vectors, not on the
-    quotient: the quotient can stabilize long before u does (for
-    constant division rate it is exact from the first step), so the
-    iteration stops only when both scale-relative sup residuals
-    |A w - lam w| / max(w) fall below ``tol``. A run that exhausts
-    ``max_iter`` first is flagged unconverged.
+    The shift sigma is one above the largest column sum b_j - D of A,
+    which bounds Lambda for a Metzler matrix (with equality when b is
+    constant), so sigma I - A has a non-negative inverse and the pair
+    stays positive. One LU factorization serves every step, u through
+    the factors and v through their transpose. The eigenvalue estimate
+    is the two-sided Rayleigh quotient v A u / (v u). Convergence is
+    judged on the vectors, not on the quotient: the quotient can
+    stabilize long before u does (for constant division rate it is
+    exact from the first step), so the iteration stops only when both
+    scale-relative sup residuals |A w - lam w| / max(w) fall below
+    ``tol``; a run that exhausts ``max_iter`` steps is unconverged.
     """
     if grid is None:
         grid = MassGrid(grid_n, model.max_mass)
     op = assemble_operator(model, S, D, grid)
     A = op.matrix
-    diag_scale = float(np.max(np.abs(np.diag(A))))
-    if diag_scale <= 0.0:
-        raise ValueError("degenerate operator: zero diagonal")
-    dt = 0.9 / diag_scale
-    P = np.eye(grid.n) + dt * A
-    PT = np.ascontiguousarray(P.T)
+    shift = float(np.max(A.sum(axis=0))) + 1.0
+    work = np.negative(A, order="F")
+    work.flat[::grid.n + 1] += shift
+    lu = lu_factor(work, overwrite_a=True)
 
     u = np.full(grid.n, 1.0 / grid.n)
     v = np.full(grid.n, 1.0 / grid.n)
-    lam = np.nan
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        Pu = P @ u
-        Pv = PT @ v
-        if iterations % 8 == 0 or iterations == max_iter:
-            Au = (Pu - u) / dt
-            Atv = (Pv - v) / dt
-            lam = float(v @ Au) / float(v @ u)
-            res_u = float(np.max(np.abs(Au - lam * u))) / float(np.max(u))
-            res_v = float(np.max(np.abs(Atv - lam * v))) / float(np.max(v))
-            converged = res_u < tol and res_v < tol
-        u = Pu / Pu.sum()
-        v = Pv / Pv.sum()
+        u = lu_solve(lu, u, check_finite=False)
+        v = lu_solve(lu, v, trans=1, check_finite=False)
+        u /= u.sum()
+        v /= v.sum()
+        Au = A @ u
+        Atv = v @ A
+        lam = float(v @ Au) / float(v @ u)
+        res_u = float(np.max(np.abs(Au - lam * u))) / float(np.max(u))
+        res_v = float(np.max(np.abs(Atv - lam * v))) / float(np.max(v))
+        converged = res_u < tol and res_v < tol
         if converged:
             break
     h = grid.h
@@ -251,6 +251,6 @@ def principal_eigenpair(model, S, D, grid_n=512, tol=1e-10, max_iter=200000,
     return SpectralSolution(
         eigenvalue=lam, u=u, v=v, grid=grid, S=S, D=D,
         residual_primal=rp, residual_adjoint=ra,
-        iterations=iterations, converged=converged, dt=dt,
+        iterations=iterations, converged=converged, shift=shift,
         lambda_plus_D_positive=bool(lam + D > 0.0),
     )

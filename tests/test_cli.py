@@ -1,13 +1,14 @@
 """Command line driver: sweeps, checks, precedence, exit codes."""
 
 import copy
+import logging
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gfdlab import benchmarks
+from gfdlab import benchmarks, cli
 from gfdlab.cli import (check_consistency, check_monotonicity, classify_row,
                         main, run_sweep)
 from gfdlab.config import (EnvironmentRange, SolverSettings, config_hash,
@@ -61,6 +62,7 @@ def test_sweep_row_contents(small_sweep):
         oracle = benchmarks.gw_extinction_oracle(2.0, row.D)
         assert row.p_x0 == pytest.approx(oracle, abs=1e-5)
         assert row.eigenvalue == pytest.approx(2.0 - row.D, abs=1e-8)
+        assert 0.0 <= row.censor_bias < cli.CENSOR_BIAS_TOL
     assert small_sweep.all_converged
 
 
@@ -84,6 +86,22 @@ def test_sweep_artifacts(tmp_path):
     report = (out / "report.txt").read_text()
     assert "total_wall_time" in report
     assert config_hash(result.config) in report
+
+
+def test_missed_censor_bound_is_reported(tmp_path, monkeypatch, caplog):
+    # near criticality the recursion still moves at the last rung, so
+    # with no tolerance left no rung can meet it
+    monkeypatch.setattr(cli, "CENSOR_BIAS_TOL", 0.0)
+    cfg = small_config(trials=20, s_values=(1.0,), d_values=(1.99,))
+    with caplog.at_level(logging.WARNING, logger="gfdlab"):
+        result = run_sweep(cfg, out_dir=str(tmp_path))
+    row = result.rows[0]
+    assert row.gen_limit == cli.CENSOR_LADDER[-1]
+    assert row.censor_bias > 0.0
+    assert "S=1.0 D=1.99" in caplog.text
+    header, line = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert header.endswith(",censor_bias")
+    assert float(line.rsplit(",", 1)[1]) == row.censor_bias
 
 
 def test_sweep_csv_byte_identical(tmp_path):

@@ -44,6 +44,9 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(io.StringIO("[model]\nmass_max = 1.0\n"))
+    # a retired setting is no different from a typo
+    with pytest.raises(ConfigError, match="unknown key 'ode_rtol'"):
+        load_config(io.StringIO("[solver]\node_rtol = 1e-10\n"))
 
 
 def test_bad_float_rejected():

@@ -138,6 +138,31 @@ def test_unconverged_flag():
     assert sol.iterations == 5
 
 
+def test_iterations_do_not_grow_with_grid():
+    m = benchmarks.logramp_model()
+    coarse = principal_eigenpair(m, 2.0, 0.6, grid_n=128)
+    fine = principal_eigenpair(m, 2.0, 0.6, grid_n=1024)
+    assert coarse.converged and fine.converged
+    assert max(coarse.iterations, fine.iterations) <= \
+        2 * min(coarse.iterations, fine.iterations)
+
+
+def test_shift_bounds_eigenvalue():
+    m = benchmarks.logramp_model()
+    sol = principal_eigenpair(m, 2.0, 0.6, grid_n=128)
+    A = assemble_operator(m, 2.0, 0.6, sol.grid).matrix
+    assert sol.shift > sol.eigenvalue
+    assert sol.shift >= float(np.max(A.sum(axis=0)))
+
+
+def test_eigenvalue_matches_dense_eigensolver():
+    m = benchmarks.logramp_model()
+    sol = principal_eigenpair(m, 2.0, 0.6, grid_n=128)
+    A = assemble_operator(m, 2.0, 0.6, sol.grid).matrix
+    lam_dense = float(np.max(np.linalg.eigvals(A).real))
+    assert sol.eigenvalue == pytest.approx(lam_dense, abs=1e-9)
+
+
 def test_sensitive_to_eigenvector_perturbation(logramp_solution):
     # the residual really measures the pair, not just the value
     m, sol = logramp_solution
