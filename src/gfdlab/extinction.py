@@ -1,12 +1,21 @@
-"""Extinction-probability profiles by generation iteration.
+"""Extinction-probability profiles: generation recursion and Newton's method.
 
 The probability p(x) that a lineage started from mass x dies out solves
-a fixed-point equation: integrating along the flow, the first event at
-mass y is a death with weight D/g(y) or a division with weight b(y)/g(y),
-discounted by the survival factor W(x, y) = exp(-int_x^y (b+D)/g), and a
-division requires both daughter lines to die out. Iterating from p = 0
-counts lineages extinct within n generations and increases to the
+a fixed-point equation p = F(p): integrating along the flow, the first
+event at mass y is a death with weight D/g(y) or a division with weight
+b(y)/g(y), discounted by the survival factor W(x, y) = exp(-int_x^y
+(b+D)/g), and a division requires both daughter lines to die out.
+Walking the recursion p_{n+1} = F(p_n) from p_0 = 0 gives p_n, the
+probability of extinction within n generations, which increases to the
 minimal fixed point.
+
+Near criticality that walk converges slowly, so ``generation_curve``
+takes the fixed point from Newton's method instead: F is monotone and
+convex, and Newton's iteration started below the minimal fixed point
+rises monotonically to it, quadratically when the process is
+supercritical (Hautphenne, Latouche & Remiche, Linear Algebra Appl.
+428, 2008). The walk then runs only as far as the censor ladder needs
+its p_n. ``solve_extinction`` still walks to convergence.
 
 Discretization: midpoint mass grid x_i = (i - 1/2) h with h = M/n. The
 per-cell rate exponents c_j = h (b_j + D)/g_j accumulate in log space,
@@ -14,16 +23,27 @@ and the outer integral uses the product rule that is exact for piecewise
 constant rates: cell j contributes the exact decrement of W across it
 times the event split (D + b Phi)/(D + b) at the cell midpoint. A plain
 midpoint rule is badly wrong near x = 0 where (b + D)/g has a pole; the
-product rule keeps every weight in [0, 1] and telescopes exactly.
+product rule keeps every weight in [0, 1] and telescopes exactly. The
+two-daughter term Phi uses quadrature nodes that depend only on the
+kernel and the grid; its interpolation stencils are sparse matrices
+built once per (kernel, grid) and shared by every (S, D) cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dtrmm
 
 from .kernels import support_quadrature_batch
+
+# Newton converges quadratically off criticality and linearly, halving
+# the error each step, at it; 50 steps reach any tolerance above 1e-15
+NEWTON_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,9 @@ class ExtinctionProfile:
 
     ``tag`` is ``generation`` for one more step of the recursion,
     ``fixed_point`` for a converged solve, ``unconverged`` otherwise.
+    ``generations`` counts the steps of the recursion walked,
+    ``newton_steps`` the Newton steps taken, and ``last_delta`` is the
+    sup norm of the last of either that produced ``values``.
     """
 
     grid: MassGrid
@@ -61,6 +84,7 @@ class ExtinctionProfile:
     generations: int
     tag: str
     last_delta: float = float("nan")
+    newton_steps: int = 0
 
     def at(self, x):
         """Interpolate, constant beyond the first and last grid points."""
@@ -70,7 +94,7 @@ class ExtinctionProfile:
     def to_csv(self, path, residual=None, extra=None):
         with open(path, "w") as fh:
             fh.write(f"# S={self.S!r} D={self.D!r} generations={self.generations}"
-                     f" tag={self.tag}\n")
+                     f" newton_steps={self.newton_steps} tag={self.tag}\n")
             if residual is not None:
                 fh.write(f"# residual={residual!r}\n")
             if extra:
@@ -81,24 +105,63 @@ class ExtinctionProfile:
                 fh.write(f"{float(xi)!r},{float(pi)!r}\n")
 
 
+def _interp_matrix(q, x):
+    """``np.interp(q, x, p)`` as a CSR matrix acting on p.
+
+    Two entries per row, int32 indices; past either end of x the row
+    puts weight 1 on the end value, as ``np.interp`` does.
+    """
+    q = q.ravel()
+    j = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+    t = np.clip((q - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
+    data = np.column_stack([1.0 - t, t]).ravel()
+    cols = np.column_stack([j, j + 1]).ravel().astype(np.int32)
+    indptr = np.arange(0, data.size + 1, 2, dtype=np.int32)
+    return sparse.csr_matrix((data, cols, indptr), shape=(q.size, x.size))
+
+
+@lru_cache(maxsize=8)
+def _daughter_tables(kernel, n, max_mass, alpha_nodes):
+    """Two-daughter quadrature of one (kernel, grid), shared across cells.
+
+    Returns (lo, hi, wq, rows): the interpolation matrices of the daughter
+    masses alpha x_i and (1 - alpha) x_i, shape (n k) x n; the flat
+    quadrature weights, length n k; and the n x (n k) matrix that sums
+    each grid point's k weighted nodes. The arrays are read-only because
+    every caller gets the same objects.
+    """
+    x = MassGrid(n, max_mass).x
+    alpha, wq = support_quadrature_batch(kernel, x, alpha_nodes)
+    k = alpha.shape[1]
+    wq = wq.ravel()
+    lo = _interp_matrix(alpha * x[:, None], x)
+    hi = _interp_matrix((1.0 - alpha) * x[:, None], x)
+    rows = sparse.csr_matrix(
+        (wq, np.arange(n * k, dtype=np.int32),
+         np.arange(0, n * k + 1, k, dtype=np.int32)), shape=(n, n * k))
+    wq.flags.writeable = False
+    for m in (lo, hi, rows):
+        for arr in (m.data, m.indices, m.indptr):
+            arr.flags.writeable = False
+    return lo, hi, wq, rows
+
+
 class _Daughters:
-    """Division rate and two-daughter quadrature tables, n x k each."""
+    """Division rate and the two-daughter tables of a (kernel, grid)."""
 
     def __init__(self, model, S, grid, alpha_nodes=129):
         self.grid = grid
-        x = grid.x
-        self.b = np.asarray(model.b(S, x), dtype=float)
-        self.alpha, self.wq = support_quadrature_batch(
-            model.kernel, x, alpha_nodes)
-        self._a_lo = self.alpha * x[:, None]
-        self._a_hi = (1.0 - self.alpha) * x[:, None]
+        self.b = np.asarray(model.b(S, grid.x), dtype=float)
+        self.tables = _daughter_tables(model.kernel, grid.n, grid.max_mass,
+                                       alpha_nodes)
+        self.lo, self.hi, self.wq, self.rows = self.tables
 
     def two_daughter_term(self, p):
         """Phi(y_j) = int q(y_j, a) p(a y_j) p((1-a) y_j) da on the grid."""
-        x = self.grid.x
-        low = np.interp(self._a_lo, x, p)
-        high = np.interp(self._a_hi, x, p)
-        return (self.wq * low * high).sum(axis=1)
+        # a numpy row sum, not ``rows @``: on the CONSTANT model it gives
+        # Phi(1) = 1 exactly, the sparse sum 1 - 1.1e-16
+        return ((self.lo @ p) * (self.hi @ p) * self.wq).reshape(
+            self.grid.n, -1).sum(axis=1)
 
 
 class _Stepper(_Daughters):
@@ -137,6 +200,48 @@ class _Stepper(_Daughters):
         phi = self.two_daughter_term(p)
         frac = self.death_frac + self.birth_frac * phi
         return np.clip(self.weights @ frac, 0.0, 1.0)
+
+    def newton_matrix(self, p):
+        """I - F'(p) for the step F, Fortran-ordered for an in-place LU.
+
+        F'(p) = W diag(b/(b+D)) dPhi/dp, and by the product rule
+        dPhi/dp = R diag(hi p) lo + R diag(lo p) hi, with R the
+        weighted row sum of the quadrature nodes.
+        """
+        low, high = self.lo @ p, self.hi @ p
+        jac = (self.rows.multiply(high) @ self.lo
+               + self.rows.multiply(low) @ self.hi).toarray(order="F")
+        jac *= -self.birth_frac[:, None]
+        # W is upper triangular: a triangular product in place, half a gemm
+        jac = dtrmm(1.0, self.weights.T, jac, lower=1, trans_a=1,
+                    overwrite_b=1)
+        jac[np.diag_indices(self.grid.n)] += 1.0
+        return jac
+
+
+def _newton(stepper, p, tol, max_iter):
+    """Newton's iteration for p = F(p) from ``p``.
+
+    Started below the minimal fixed point (any p_n of the walk from 0)
+    the iterates rise to it. Stops once the sup of a step is below
+    ``tol``; returns (p, steps, sup of the last step). A start with
+    F(p) = p exactly, as a walk that has settled reaches, is returned
+    without factoring: at such a p = 1 of a critical cell I - F'(p) is
+    singular.
+    """
+    size = np.inf
+    for steps in range(1, max_iter + 1):
+        residual = stepper.step(p) - p
+        if not np.any(residual):
+            return p, steps - 1, 0.0
+        dp = lu_solve(lu_factor(stepper.newton_matrix(p), overwrite_a=True,
+                                check_finite=False),
+                      residual, check_finite=False)
+        p = np.clip(p + dp, 0.0, 1.0)
+        size = float(np.max(np.abs(dp)))
+        if size < tol:
+            return p, steps, size
+    return p, max_iter, size
 
 
 def generation_step(profile, model, S, D, alpha_nodes=129):
@@ -184,14 +289,20 @@ def solve_extinction(model, S, D, grid_n=512, tol=1e-8, max_generations=10000,
 
 
 def generation_curve(model, S, D, x0, checkpoints, grid_n=512, tol=1e-8,
-                     max_generations=10000, alpha_nodes=129):
+                     max_generations=10000, alpha_nodes=129, stop_gap=None):
     """Extinction-within-n-generations probabilities at one starting mass.
 
-    Runs the recursion once from p = 0, recording p_n(x0) at each
-    checkpoint generation, and returns (profile, curve) where profile
-    is the converged solve and curve maps checkpoint -> p_n(x0).
-    Checkpoints past the stopping generation reuse the final profile
-    (the iteration has stopped moving at tolerance scale by then).
+    Returns (profile, curve): profile is the minimal fixed point and
+    curve maps each checkpoint n to p_n(x0). The recursion walks from
+    p = 0 to the first checkpoint, where Newton's method started from
+    that p_n gives the fixed point; the walk then goes on from checkpoint
+    to checkpoint and stops once it is within ``tol`` of the fixed point
+    in sup norm, or, with ``stop_gap``, at the first checkpoint whose gap
+    p(x0) - p_n(x0) is below ``stop_gap``. Checkpoints past the stop read
+    the fixed point. With no checkpoints Newton starts from p = 0. The
+    walk never passes ``max_generations``, and it runs to the last
+    checkpoint when Newton does not converge; the profile is then
+    tagged ``unconverged``.
 
     The gap p(x0) - p_n(x0) is exactly the probability that a lineage
     is still alive at generation n yet dies out later, which is the
@@ -202,30 +313,33 @@ def generation_curve(model, S, D, x0, checkpoints, grid_n=512, tol=1e-8,
     stepper = _Stepper(model, S, D, grid, alpha_nodes)
     checkpoints = sorted(int(c) for c in checkpoints)
     p = np.zeros(grid_n)
+    gens = min(checkpoints[0], max_generations) if checkpoints else 0
+    for _ in range(gens):
+        p = stepper.step(p)
+    fixed, steps, size = _newton(stepper, p, tol, NEWTON_MAX_STEPS)
+    converged = size < tol
+    p_x0 = float(np.interp(x0, grid.x, fixed))
+
+    def reached():
+        return converged and float(np.max(np.abs(p - fixed))) < tol
+
     curve = {}
-    delta = np.inf
-    delta_prev = np.inf
-    gens = 0
-    done = False
-    for gens in range(1, max_generations + 1):
-        p_next = stepper.step(p)
-        delta = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if gens in checkpoints:
-            curve[gens] = float(np.interp(x0, grid.x, p))
-        if delta < tol:
-            ratio = delta / delta_prev if delta_prev > 0 else 0.0
-            done = ratio >= 1.0 or delta * ratio / (1.0 - ratio) < tol
-            if done:
-                break
-        delta_prev = delta
-    final = float(np.interp(x0, grid.x, p))
     for c in checkpoints:
-        curve.setdefault(c, final)
-    profile = ExtinctionProfile(grid=grid, values=p, S=S, D=D,
+        while gens < min(c, max_generations) and not reached():
+            p = stepper.step(p)
+            gens += 1
+        if gens < c:
+            break
+        curve[c] = float(np.interp(x0, grid.x, p))
+        if reached() or (converged and stop_gap is not None
+                         and abs(p_x0 - curve[c]) < stop_gap):
+            break
+    for c in checkpoints:
+        curve.setdefault(c, p_x0)
+    profile = ExtinctionProfile(grid=grid, values=fixed, S=S, D=D,
                                 generations=gens,
-                                tag="fixed_point" if done else "unconverged",
-                                last_delta=delta)
+                                tag="fixed_point" if converged else "unconverged",
+                                last_delta=size, newton_steps=steps)
     return profile, curve
 
 

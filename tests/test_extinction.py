@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from gfdlab import benchmarks
-from gfdlab.extinction import (ExtinctionProfile, MassGrid, fixed_point_gap,
-                               fixed_point_residual, generation_curve,
-                               generation_step, solve_extinction)
+from gfdlab.cli import CENSOR_BIAS_TOL, CENSOR_LADDER
+from gfdlab.extinction import (ExtinctionProfile, MassGrid, _Daughters,
+                               _interp_matrix, _newton, _Stepper,
+                               fixed_point_gap, fixed_point_residual,
+                               generation_curve, generation_step,
+                               solve_extinction)
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +169,103 @@ def test_csv_output(tmp_path, constant_profile):
     x, p = lines[4].split(",")
     assert float(x) == pytest.approx(prof.grid.x[0])
     assert float(p) == pytest.approx(prof.values[0])
+
+
+def _walked(stepper, generations):
+    p = np.zeros(stepper.grid.n)
+    for _ in range(generations):
+        p = stepper.step(p)
+    return p
+
+
+def test_interp_matrix_follows_np_interp():
+    x = MassGrid(64, 1.0).x
+    q = np.linspace(-0.1, 1.1, 301)          # both ends and every cell
+    p = np.sin(3.0 * x) + x ** 2
+    assert np.max(np.abs(_interp_matrix(q, x) @ p
+                         - np.interp(q, x, p))) < 1e-15
+
+
+def test_daughter_tables_shared_across_cells():
+    m = benchmarks.logramp_model()
+    grid = MassGrid(128, 1.0)
+    a = _Daughters(m, 1.0, grid)
+    b = _Daughters(m, 4.0, grid)
+    assert a.tables is b.tables
+
+
+def test_newton_matrix_matches_finite_difference():
+    m = benchmarks.logramp_model()
+    stepper = _Stepper(m, 2.0, 0.6, MassGrid(64, 1.0))
+    p = _walked(stepper, 20)
+    # Phi is quadratic in p, so the central difference has no truncation
+    # error; what is left is rounding
+    eps = 1e-6
+    jac = np.empty((64, 64))
+    for j in range(64):
+        e = np.zeros(64)
+        e[j] = eps
+        jac[:, j] = (stepper.step(p + e) - stepper.step(p - e)) / (2 * eps)
+    ours = np.eye(64) - stepper.newton_matrix(p)
+    assert np.max(np.abs(ours - jac)) <= 1e-6 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("S, D", [(16.0, 1.0), (1.0, 0.6), (0.25, 0.3)])
+def test_newton_rises_monotonically_to_fixed_point(S, D):
+    m = benchmarks.logramp_model()
+    stepper = _Stepper(m, S, D, MassGrid(128, 1.0))
+    p = _walked(stepper, 100)
+    fixed, steps, size = _newton(stepper, p, 1e-8, 50)
+    assert size < 1e-8 and 1 <= steps < 50
+    for _ in range(steps):
+        nxt, _, _ = _newton(stepper, p, 1e-8, 1)
+        assert np.all(nxt >= p - 1e-14)
+        assert np.all(nxt <= fixed + 1e-12)
+        p = nxt
+    assert np.max(np.abs(p - fixed)) == 0.0
+
+
+def test_newton_returns_exact_fixed_point_without_factoring():
+    # a subcritical walk lands on a floating-point fixed point just below
+    # p = 1; at p = 1 itself I - F'(p) is singular for a critical cell
+    m = benchmarks.logramp_model()
+    stepper = _Stepper(m, 0.25, 1.5, MassGrid(64, 1.0))
+    p = _walked(stepper, 100)
+    assert np.array_equal(stepper.step(p), p)
+    fixed, steps, size = _newton(stepper, p, 1e-8, 50)
+    assert fixed is p and steps == 0 and size == 0.0
+
+
+def test_generation_curve_profile_matches_long_walk():
+    m = benchmarks.logramp_model()
+    walk = solve_extinction(m, 1.0, 0.6, grid_n=128, tol=0.0,
+                            max_generations=20_000)
+    assert walk.generations == 20_000
+    for checkpoints in (CENSOR_LADDER, ()):
+        prof, curve = generation_curve(m, 1.0, 0.6, 0.5, checkpoints,
+                                       grid_n=128)
+        assert prof.tag == "fixed_point" and prof.newton_steps >= 1
+        assert np.max(np.abs(prof.values - walk.values)) < 1e-8
+    assert prof.generations == 0 and curve == {}
+
+
+def test_stop_gap_stops_at_the_censor_rung():
+    m = benchmarks.logramp_model()
+    prof, curve = generation_curve(m, 16.0, 1.0, 0.5, CENSOR_LADDER,
+                                   grid_n=256, stop_gap=CENSOR_BIAS_TOL)
+    p = prof.at(0.5)
+    # the rung a sweep censors at, from a walk run to convergence
+    assert prof.generations == 1600
+    assert p - curve[800] >= CENSOR_BIAS_TOL > p - curve[1600] > 0.0
+    assert curve[3200] == p
+    assert prof.tag == "fixed_point"
+
+
+def test_csv_header_counts_newton_steps(tmp_path):
+    m = benchmarks.logramp_model()
+    prof, _ = generation_curve(m, 1.0, 0.6, 0.5, (100,), grid_n=64)
+    path = tmp_path / "prof.csv"
+    prof.to_csv(path)
+    header = path.read_text().splitlines()[0]
+    assert f"generations=100 newton_steps={prof.newton_steps} " in header
+    assert prof.newton_steps >= 1
