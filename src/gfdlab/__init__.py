@@ -22,7 +22,7 @@ from .kernels import (CouplingReport, DivisionKernel, check_coupling,
                       monotone_integral, support_quadrature)
 from .simulate import (MartingaleReport, SimulationLimits, SimulationOutcome,
                        SurvivalEstimate, estimate_survival, martingale_check,
-                       next_event, simulate, wilson_interval)
+                       simulate, wilson_interval)
 from .spectral import (OperatorMatrix, SpectralSolution, assemble_adjoint,
                        assemble_operator, eigen_residual, principal_eigenpair)
 from . import benchmarks

@@ -528,7 +528,7 @@ def cmd_simulate(args):
         outcome = simulate(cfg.model, S, D, x0, limits=limits,
                            seed=sim.seed, trial=args.trial, log=log)
         with open(args.event_log, "wb") as fh:
-            for rec in sorted(log, key=lambda r: r[0]):
+            for rec in log:
                 fh.write(_EVENT_RECORD.pack(*rec))
         print(f"trial {args.trial}: survived={outcome.survived} "
               f"reason={outcome.reason} events={len(log)} "

@@ -187,14 +187,6 @@ class JumpSampler:
             return self.b_top
         return self.slope * (m - self.c)
 
-    def death_probability(self, m):
-        """Chance the event at mass m is a death rather than a division."""
-        bm = self.b(m)
-        tot = bm + self.D
-        if tot <= 0.0:
-            return 0.0
-        return self.D / tot
-
     def mass_after(self, m, dt):
         """Flow endpoint, fast path in the logit coordinate."""
         if not self.fast:
@@ -204,13 +196,6 @@ class JumpSampler:
         if m >= self.M:
             return self.M
         return _mass_from_theta(_theta(m, self.M) + self.r * dt, self.M)
-
-    def _hb(self, x, m):
-        """Closed-form int_x^m b/g dz for the built-in families."""
-        lo = max(x, self.c)
-        if m <= lo:
-            return 0.0
-        return self._hb_theta(lo, _theta(m, self.M))
 
     def _hb_theta(self, lo, theta_m):
         """Same integral with the upper end given in the logit coordinate."""

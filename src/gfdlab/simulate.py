@@ -2,14 +2,16 @@
 
 Each cell grows along the flow, divides at rate b into fractions drawn
 from the kernel, or dies at rate D. Survival questions only need the
-genealogy, so trials run depth first over lineages with O(tree depth)
-memory; generation and pending-population caps censor trials that are
-effectively immortal, and censored trials count as survival (from a cap
-of pending lineages the chance that all of them die out is negligible
-for any supercritical model, and the generation cap estimates survival
-to that generation, which converges to the true survival probability).
-Time-anchored questions (a fixed horizon, martingale checkpoints) use a
-chronological event queue instead.
+genealogy, so one engine runs every trial depth first over lineages with
+O(tree depth) memory. Generation and pending-population caps censor
+trials that are effectively immortal, and censored trials count as
+survival (from a cap of pending lineages the chance that all of them die
+out is negligible for any supercritical model, and the generation cap
+estimates survival to that generation, which converges to the true
+survival probability). A time horizon asks for survival to that time: a
+lineage alive at the horizon ends the trial as survival. Martingale
+checkpoints are read off the same walk, which then follows every
+lineage up to the last checkpoint.
 
 Randomness: one Philox stream per trial, derived from the master seed by
 the counter construction SeedSequence(seed, spawn_key=(trial,)), so any
@@ -19,7 +21,6 @@ are distributed over workers.
 
 from __future__ import annotations
 
-import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,7 +49,9 @@ class SimulationOutcome:
 
     Extinct trials report the first empty generation and the time the
     last cell died. Censored trials report the censor reason, the deepest
-    generation seen, and the number of pending lineage endpoints.
+    generation seen, and in ``final_size`` the number of lineages still
+    pending in the depth-first walk when it stopped, for every reason,
+    ``time_horizon`` included (not the population alive at the horizon).
     """
 
     survived: bool
@@ -172,30 +175,21 @@ def _make_fraction_sampler(kernel):
     return sample
 
 
-def next_event(model, S, D, mass, rng, sampler=None):
-    """Sample the next event of one cell: (T, kind, mass at T, fraction).
+def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
+    """Depth-first trial over lineages.
 
-    ``kind`` is "death" or "division"; the fraction is None for deaths.
-    T is +inf (kind "none") when no further event can occur.
+    A lineage whose next event falls at or past the time horizon is alive
+    at the horizon and stops the trial as survival; with no horizon that
+    only happens to a cell that will never have another event. With
+    ``visit(m, tb, te)``, every cell (mass at birth, birth and event
+    times) is shown to the callback, and a lineage past the horizon is
+    dropped instead.
     """
-    if sampler is None:
-        sampler = JumpSampler(model, S, D)
-    E = -math.log1p(-rng.random())
-    T, mT = sampler.event(mass, E)
-    if T == _INF:
-        return T, "none", mT, None
-    if rng.random() < sampler.death_probability(mT):
-        return T, "death", mT, None
-    frac = _make_fraction_sampler(model.kernel)(mT, rng.random())
-    return T, "division", mT, frac
-
-
-def _run_trial_lineages(sampler, fraction_of, x0, limits, draws, log=None):
-    """Depth-first trial without a time horizon."""
     D = sampler.D
     gen_limit = limits.gen_limit
     pop_cap = limits.pop_cap
     max_events = limits.max_events
+    horizon = _INF if limits.time_horizon is None else limits.time_horizon
     event = sampler.event
     brate = sampler.b
     u = draws.u
@@ -215,10 +209,17 @@ def _run_trial_lineages(sampler, fraction_of, x0, limits, draws, log=None):
             return SimulationOutcome(True, "event_budget", max_gen, tb,
                                      len(stack) + 1, divisions, deaths)
         T, mT = event(m, -log1p(-u()))
-        if T == _INF:
-            return SimulationOutcome(True, "immortal", max_gen, tb,
-                                     len(stack) + 1, divisions, deaths)
         te = tb + T
+        if visit is not None:
+            visit(m, tb, te)
+        if te >= horizon:
+            if visit is not None:
+                continue
+            if horizon == _INF:
+                return SimulationOutcome(True, "immortal", max_gen, tb,
+                                         len(stack) + 1, divisions, deaths)
+            return SimulationOutcome(True, "time_horizon", max_gen, horizon,
+                                     len(stack) + 1, divisions, deaths)
         bT = brate(mT)
         if u() * (bT + D) < D:
             deaths += 1
@@ -247,87 +248,36 @@ def _run_trial_lineages(sampler, fraction_of, x0, limits, draws, log=None):
                              divisions, deaths)
 
 
-def _run_trial_horizon(sampler, fraction_of, x0, limits, draws, log=None):
-    """Chronological trial stopped at a fixed time horizon."""
-    D = sampler.D
-    horizon = limits.time_horizon
-    event = sampler.event
-    brate = sampler.b
-    u = draws.u
-    log1p = math.log1p
-    divisions = deaths = 0
-    max_gen = 0
-    t_last = 0.0
-    events = 0
-    seq = 0
-    T0, m0 = event(x0, -log1p(-u()))
-    heap = [(T0, seq, m0, 0, 0)]
-    while heap:
-        te, _, mT, gen, ident = heapq.heappop(heap)
-        if te >= horizon:
-            return SimulationOutcome(True, "time_horizon", max_gen, horizon,
-                                     len(heap) + 1, divisions, deaths)
-        events += 1
-        if events > limits.max_events:
-            return SimulationOutcome(True, "event_budget", max_gen, te,
-                                     len(heap) + 1, divisions, deaths)
-        if u() * (brate(mT) + D) < D:
-            deaths += 1
-            t_last = te
-            if log is not None:
-                log.append((te, ident, 1, float("nan")))
-            continue
-        divisions += 1
-        gen += 1
-        if gen > max_gen:
-            max_gen = gen
-        if gen >= limits.gen_limit:
-            return SimulationOutcome(True, "generation_limit", max_gen, te,
-                                     len(heap) + 2, divisions, deaths)
-        a = fraction_of(mT, u())
-        if log is not None:
-            log.append((te, ident, 0, a))
-        for mass in (a * mT, (1.0 - a) * mT):
-            Tc, mc = event(mass, -log1p(-u()))
-            seq += 1
-            heapq.heappush(heap, (te + Tc, seq, mc, gen, seq))
-        if len(heap) > limits.pop_cap:
-            return SimulationOutcome(True, "population_cap", max_gen, te,
-                                     len(heap), divisions, deaths)
-    return SimulationOutcome(False, None, max_gen + 1, t_last, 0,
-                             divisions, deaths)
-
-
 def simulate(model, S, D, x0, limits=None, seed=0, trial=0, sampler=None,
              log=None):
     """Run one trial; the (seed, trial) pair fixes the random stream.
 
     ``log``, if given, is a list collecting one record per realized
-    event: (time, individual id, tag, fraction) with tag 0 for division
-    (fraction is the sampled daughter ratio) and 1 for death (fraction
-    is nan). Ids count individuals in traversal order from the root 0.
+    event, sorted by time: (time, individual id, tag, fraction) with tag
+    0 for division (fraction is the sampled daughter ratio) and 1 for
+    death (fraction is nan). Ids count individuals in depth-first
+    traversal order from the root 0.
     """
     if limits is None:
         limits = SimulationLimits()
     if sampler is None:
         sampler = JumpSampler(model, S, D)
-    fraction_of = _make_fraction_sampler(model.kernel)
-    draws = _Draws(trial_seed(seed, trial))
-    if limits.time_horizon is None:
-        return _run_trial_lineages(sampler, fraction_of, x0, limits, draws, log)
-    return _run_trial_horizon(sampler, fraction_of, x0, limits, draws, log)
+    out = _run_trial(sampler, _make_fraction_sampler(model.kernel), x0, limits,
+                     _Draws(trial_seed(seed, trial)), log)
+    if log is not None:
+        log.sort(key=lambda rec: rec[0])
+    return out
 
 
 def _survival_chunk(args):
     model, S, D, x0, limits, seed, start, stop = args
     sampler = JumpSampler(model, S, D)
     fraction_of = _make_fraction_sampler(model.kernel)
-    run = (_run_trial_lineages if limits.time_horizon is None
-           else _run_trial_horizon)
     survived = 0
     censored = {}
     for trial in range(start, stop):
-        out = run(sampler, fraction_of, x0, limits, _Draws(trial_seed(seed, trial)))
+        out = _run_trial(sampler, fraction_of, x0, limits,
+                         _Draws(trial_seed(seed, trial)))
         if out.survived:
             survived += 1
             censored[out.reason] = censored.get(out.reason, 0) + 1
@@ -373,48 +323,39 @@ def martingale_check(model, S, D, x0, solution, checkpoints, n_trials,
     """Empirical test that exp(-Lambda t) sum_i v(X_t^i) keeps its mean.
 
     ``solution`` provides the eigenvalue and the adjoint weight v (from
-    a spectral solve). Trials run depth first with birth times; a cell
-    born at tb with event at te contributes v(mass at c) to every
-    checkpoint c in [tb, te). Returns studentized deviations from v(x0)
-    per checkpoint.
+    a spectral solve). Each trial walks every lineage up to the last
+    checkpoint; a cell born at tb with event at te contributes v(mass at
+    c) to every checkpoint c in [tb, te). Returns studentized deviations
+    from v(x0) per checkpoint; a trial that needs more than
+    ``max_events`` events raises RuntimeError.
     """
     lam = solution.eigenvalue
     grid_x = solution.grid.x
     vvals = solution.v
     cps = np.sort(np.asarray(checkpoints, dtype=float))
-    c_max = float(cps[-1])
     sampler = JumpSampler(model, S, D)
     fraction_of = _make_fraction_sampler(model.kernel)
-    log1p = math.log1p
+    limits = SimulationLimits(gen_limit=_INF, pop_cap=_INF,
+                              time_horizon=float(cps[-1]),
+                              max_events=max_events)
     n_cp = cps.size
     sums = np.zeros((n_trials, n_cp))
+
+    def visit(m, tb, te):
+        for k in range(n_cp):
+            c = cps[k]
+            if c < tb:
+                continue
+            if c >= te:
+                break
+            acc[k] += np.interp(sampler.mass_after(m, c - tb), grid_x, vvals)
+
     for trial in range(n_trials):
-        draws = _Draws(trial_seed(seed, trial))
-        u = draws.u
-        stack = [(x0, 0.0)]
-        events = 0
         acc = sums[trial]
-        while stack:
-            m, tb = stack.pop()
-            events += 1
-            if events > max_events:
-                raise RuntimeError("martingale trial exceeded the event budget")
-            T, mT = sampler.event(m, -log1p(-u()))
-            te = tb + T
-            for k in range(n_cp):
-                c = cps[k]
-                if c < tb:
-                    continue
-                if c >= te:
-                    break
-                acc[k] += np.interp(sampler.mass_after(m, c - tb), grid_x, vvals)
-            if te >= c_max:
-                continue
-            if u() * (sampler.b(mT) + D) < D:
-                continue
-            a = fraction_of(mT, u())
-            stack.append((a * mT, te))
-            stack.append(((1.0 - a) * mT, te))
+        out = _run_trial(sampler, fraction_of, x0, limits,
+                         _Draws(trial_seed(seed, trial)), visit=visit)
+        if out.reason == "event_budget":
+            raise RuntimeError("martingale trial exceeded the event budget")
     weights = np.exp(-lam * cps)
     stats = sums * weights[None, :]
     target = float(np.interp(x0, grid_x, vvals))

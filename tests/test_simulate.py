@@ -9,8 +9,8 @@ from gfdlab import benchmarks
 from gfdlab.config import DivisionRateModel, GrowthModel, ModelDefinition
 from gfdlab.kernels import DivisionKernel
 from gfdlab.simulate import (SimulationLimits, estimate_survival,
-                             martingale_check, next_event, simulate,
-                             trial_seed, wilson_interval)
+                             martingale_check, simulate, trial_seed,
+                             wilson_interval)
 from gfdlab.spectral import principal_eigenpair
 
 
@@ -45,14 +45,15 @@ def test_trial_seed_streams_differ():
     assert np.allclose(a, c)
 
 
-def test_next_event_distribution(model):
-    # constant total rate b + D = 3: event time is Exp(3)
-    rng = np.random.default_rng(5)
-    times = [next_event(model, 1.0, 1.0, 0.4, rng)[0] for _ in range(4000)]
-    assert np.mean(times) == pytest.approx(1.0 / 3.0, abs=0.02)
-    kinds = [next_event(model, 1.0, 1.0, 0.4, rng)[1] for _ in range(4000)]
-    frac_div = np.mean([k == "division" for k in kinds])
-    assert frac_div == pytest.approx(2.0 / 3.0, abs=0.03)
+def test_first_event_distribution(model):
+    # constant total rate b + D = 3: the first event time is Exp(3) and a
+    # division (the trial's survival at gen_limit=1) has chance 2/3
+    limits = SimulationLimits(gen_limit=1)
+    outs = [simulate(model, 1.0, 1.0, 0.4, limits=limits, seed=5, trial=t)
+            for t in range(4000)]
+    assert np.mean([o.time for o in outs]) == pytest.approx(1.0 / 3.0, abs=0.02)
+    assert np.mean([o.survived for o in outs]) == pytest.approx(2.0 / 3.0,
+                                                                abs=0.03)
 
 
 def test_simulate_deterministic(model):
@@ -115,6 +116,16 @@ def test_time_horizon_censor(model):
     assert est.n_survived > 0
 
 
+def test_distant_horizon_matches_no_horizon():
+    # a subcritical tree dies out long before t = 1e6, so the horizon
+    # changes nothing: same draws, same outcome
+    m = benchmarks.constant_rate_model(b_bar=2.0, D=4.0)
+    far = SimulationLimits(time_horizon=1e6)
+    for t in range(300):
+        assert (simulate(m, 1.0, 4.0, 0.5, limits=far, seed=9, trial=t)
+                == simulate(m, 1.0, 4.0, 0.5, seed=9, trial=t))
+
+
 def test_event_budget_censor(model):
     est = estimate_survival(model, 1.0, 1.0, 0.5, 100, seed=7,
                             limits=SimulationLimits(gen_limit=10_000,
@@ -145,19 +156,30 @@ def test_event_log_consistency(model):
     tags = [rec[2] for rec in log]
     assert tags.count(0) == out.divisions
     assert tags.count(1) == out.deaths
-    # ids: root is 0, each division mints two fresh ids, nobody acts twice
-    seen = set()
-    minted = {0}
+    # ids: root is 0, nobody acts twice, and each division mints the next
+    # two ids in depth-first order. The log is sorted by time, so replay
+    # that walk over the records: it must meet every record once, each
+    # no earlier than its parent's division.
+    by_id = {ident: (t, tag, frac) for t, ident, tag, frac in log}
+    assert len(by_id) == len(log)
+    stack = [(0, 0.0)]
     next_id = 1
-    for _, ident, tag, frac in log:
-        assert ident in minted and ident not in seen
-        seen.add(ident)
+    met = 0
+    while stack:
+        ident, born = stack.pop()
+        if ident not in by_id:
+            continue
+        t, tag, frac = by_id[ident]
+        met += 1
+        assert t >= born
         if tag == 0:
             assert 0.25 <= frac <= 0.75      # uniform kernel support
-            minted.update((next_id, next_id + 1))
+            stack.append((next_id, t))
+            stack.append((next_id + 1, t))
             next_id += 2
         else:
             assert math.isnan(frac)
+    assert met == len(log)
 
 
 def test_event_log_horizon_engine_chronological(model):
@@ -191,3 +213,10 @@ def test_martingale_detects_wrong_eigenvalue(model):
     report = martingale_check(model, 1.0, 1.0, 0.5, wrong, (2.0,),
                               n_trials=2000, seed=0)
     assert report.max_abs_z > 4.0
+
+
+def test_martingale_event_budget_raises(model):
+    sol = principal_eigenpair(model, 1.0, 1.0, grid_n=64)
+    with pytest.raises(RuntimeError):
+        martingale_check(model, 1.0, 1.0, 0.5, sol, (1.0,), n_trials=20,
+                         seed=0, max_events=1)
