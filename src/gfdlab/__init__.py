@@ -14,10 +14,9 @@ from .config import (AssumptionReport, ConfigError, DivisionRateModel,
                      write_config)
 from .cli import (SweepResult, SweepRow, check_consistency,
                   check_monotonicity, run_sweep)
-from .extinction import (ExtinctionProfile, MassGrid, fixed_point_gap,
-                         fixed_point_residual, generation_curve,
-                         generation_step, solve_extinction)
-from .flow import JumpSampler, cumulative_rate, event_time, flow, hitting_time
+from .extinction import (ExtinctionProfile, MassGrid, fixed_point_residual,
+                         generation_curve, solve_extinction)
+from .flow import JumpSampler, cumulative_rate, flow, hitting_time
 from .kernels import (CouplingReport, DivisionKernel, check_coupling,
                       monotone_integral, support_quadrature)
 from .simulate import (MartingaleReport, SimulationLimits, SimulationOutcome,

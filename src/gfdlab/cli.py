@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import struct
 import sys
@@ -441,7 +442,16 @@ def _cell_args(args, cfg):
         x0 = args.x0
     if x0 is None:
         x0 = cfg.model.max_mass / 2.0
-    return float(S), float(D), float(x0)
+    S, D, x0 = float(S), float(D), float(x0)
+    M = cfg.model.max_mass
+    # written so that NaN fails every test
+    if not 0.0 < S < math.inf:
+        raise ConfigError(f"--S must be positive and finite, got {S!r}")
+    if not 0.0 <= D < math.inf:
+        raise ConfigError(f"--D must be >= 0 and finite, got {D!r}")
+    if not 0.0 < x0 < M:
+        raise ConfigError(f"--x0 must lie in (0, {M!r}), got {x0!r}")
+    return S, D, x0
 
 
 def cmd_validate(args):

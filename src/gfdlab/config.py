@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class GrowthModel:
     def __post_init__(self):
         if self.family not in GROWTH_FAMILIES:
             raise ConfigError(f"unknown growth family {self.family!r}")
+        if self.mu_max <= 0:
+            raise ConfigError("mu_max must be positive")
         if self.family == "separable_tables":
             if len(self.mu_table) < 2 or len(self.gtilde_table) < 2:
                 raise ConfigError("separable_tables needs mu and gtilde tables")
@@ -221,6 +223,10 @@ class SolverSettings:
             raise ConfigError("grid_n above the dense-solver cap 2048")
         if self.alpha_nodes % 2 == 0:
             raise ConfigError("alpha_nodes must be odd")
+        if self.extinction_tol <= 0 or self.power_tol <= 0:
+            raise ConfigError("extinction_tol and power_tol must be positive")
+        if self.max_generations < 1 or self.power_max_iter < 1:
+            raise ConfigError("max_generations and power_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -238,6 +244,10 @@ class SimulationSettings:
             raise ConfigError("trials, gen_limit, pop_cap must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.time_horizon is not None and self.time_horizon <= 0:
+            raise ConfigError("time_horizon must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,83 +257,77 @@ class RunConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
     simulation: SimulationSettings = field(default_factory=SimulationSettings)
 
+    def __post_init__(self):
+        x0, M = self.simulation.x0, self.model.max_mass
+        if x0 is not None and not 0.0 < x0 < M:
+            raise ConfigError(f"x0 must lie in (0, M) = (0, {M!r})")
+
 
 # ---------------------------------------------------------------------------
-# INI round-trip
+# INI round-trip: a section is a dataclass, a key is one of its fields, and
+# the field's declared type picks the rule that parses and formats it
 
-_KNOWN_KEYS = {
-    "model": ("max_mass", "death_rate"),
-    "growth": ("family", "mu_max", "half_saturation", "mu_table", "gtilde_table"),
-    "division": ("family", "b_bar", "m_div", "gamma",
-                 "s_multiplier", "s_half_saturation"),
-    "kernel": ("family", "l0", "l1", "beta"),
-    "environment": ("s_values", "d_values"),
-    "solver": ("grid_n", "extinction_tol", "max_generations", "power_tol",
-               "power_max_iter", "alpha_nodes"),
-    "simulation": ("trials", "gen_limit", "pop_cap", "time_horizon",
-                   "seed", "x0", "workers"),
+_SECTIONS = {
+    "model": ModelDefinition, "growth": GrowthModel,
+    "division": DivisionRateModel, "kernel": DivisionKernel,
+    "environment": EnvironmentRange, "solver": SolverSettings,
+    "simulation": SimulationSettings,
 }
+# these sections take max_mass from [model], not from a key of their own
+_COMPONENTS = ("growth", "division", "kernel")
 
 
-def _parse_float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+def _pair(tok):
+    a, b = tok.split(":")
+    return _finite(a), _finite(b)
 
 
-def _parse_optional(section, key, raw):
-    if raw.strip().lower() in ("none", ""):
-        return None
-    return _parse_float(section, key, raw)
+def _fmt_float(value):
+    return repr(float(value))
 
 
-def _parse_list(section, key, raw):
-    try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: bad number list: {raw!r}") from None
+# declared type -> (parse INI text, format INI text)
+_RULES = {
+    "int": (int, str),
+    "float": (_finite, _fmt_float),
+    "str": (str, str),
+    "float | None": (
+        lambda raw: None if raw.lower() in ("none", "") else _finite(raw),
+        lambda v: "none" if v is None else _fmt_float(v)),
+    "tuple": (
+        lambda raw: tuple(_finite(t) for t in raw.replace(",", " ").split()),
+        lambda values: ", ".join(map(_fmt_float, values))),
+}
+# a tuple field named *_table holds (a, b) pairs written "a:b, a:b"
+_TABLE = (
+    lambda raw: tuple(_pair(t) for t in raw.split(",") if t.strip()),
+    lambda pairs: ", ".join(f"{_fmt_float(a)}:{_fmt_float(b)}" for a, b in pairs))
 
 
-def _parse_table(section, key, raw):
-    pairs = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
+def _keys(section):
+    """(key, (parse, format)) for every INI key of a section, in field order."""
+    for f in fields(_SECTIONS[section]):
+        if f.type not in _RULES:          # nested model parts
             continue
-        try:
-            a, b = tok.split(":")
-            pairs.append((float(a), float(b)))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: bad table entry {tok!r}") from None
-    return tuple(pairs)
-
-
-def _fmt(value):
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _fmt_table(table):
-    return ", ".join(f"{repr(a)}:{repr(b)}" for a, b in table)
+        if section in _COMPONENTS and f.name == "max_mass":
+            continue
+        yield f.name, _TABLE if f.name.endswith("_table") else _RULES[f.type]
 
 
 def load_config(source):
     """Parse an INI model file into a :class:`RunConfig`.
 
-    ``source`` is a path or a file-like object. Unknown sections or keys
-    raise :class:`ConfigError`; missing keys take documented defaults,
-    and the effective configuration is echoed to the run log.
+    ``source`` is a path or a file-like object. Unknown sections or keys,
+    non-finite numbers and values the dataclasses reject raise
+    :class:`ConfigError`; missing keys take the dataclass defaults, and the
+    effective configuration is echoed to the run log.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -335,145 +339,55 @@ def load_config(source):
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
+    given = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+        rules = dict(_keys(section))
+        given[section] = {}
+        for key, raw in parser.items(section):
+            if key not in rules:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            try:
+                given[section][key] = rules[key][0](raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"[{section}] {key}: bad value {raw!r} ({exc})") from None
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
+    def build(section, **fixed):
+        return _SECTIONS[section](**given.get(section, {}), **fixed)
 
-    M = _parse_float("model", "max_mass", get("model", "max_mass", "1.0"))
-    D = _parse_float("model", "death_rate", get("model", "death_rate", "1.0"))
-
-    gfam = get("growth", "family", "logistic_monod")
-    growth = GrowthModel(
-        family=gfam,
-        max_mass=M,
-        mu_max=_parse_float("growth", "mu_max", get("growth", "mu_max", "1.0")),
-        half_saturation=_parse_float(
-            "growth", "half_saturation", get("growth", "half_saturation", "1.0")),
-        mu_table=_parse_table("growth", "mu_table", get("growth", "mu_table", "")),
-        gtilde_table=_parse_table(
-            "growth", "gtilde_table", get("growth", "gtilde_table", "")),
-    )
-    division = DivisionRateModel(
-        family=get("division", "family", "constant"),
-        max_mass=M,
-        b_bar=_parse_float("division", "b_bar", get("division", "b_bar", "1.0")),
-        m_div=_parse_float("division", "m_div", get("division", "m_div", "0.0")),
-        gamma=_parse_float("division", "gamma", get("division", "gamma", "1.0")),
-        s_multiplier=get("division", "s_multiplier", "none"),
-        s_half_saturation=_parse_float(
-            "division", "s_half_saturation",
-            get("division", "s_half_saturation", "1.0")),
-    )
     try:
-        kernel = DivisionKernel(
-            family=get("kernel", "family", "uniform"),
-            l0=_parse_float("kernel", "l0", get("kernel", "l0", "0.25")),
-            l1=_parse_float("kernel", "l1", get("kernel", "l1", "0.0")),
-            beta=_parse_float("kernel", "beta", get("kernel", "beta", "0.0")),
-            max_mass=M,
-        )
-    except ValueError as exc:
+        M = given.get("model", {}).get("max_mass", ModelDefinition.max_mass)
+        model = build("model", **{s: build(s, max_mass=M) for s in _COMPONENTS})
+        given.setdefault("environment", {}).setdefault(
+            "d_values", (model.death_rate,))
+        cfg = RunConfig(model=model, env=build("environment"),
+                        solver=build("solver"), simulation=build("simulation"))
+    except ConfigError:
+        raise
+    except ValueError as exc:             # DivisionKernel's own checks
         raise ConfigError(str(exc)) from exc
-
-    model = ModelDefinition(max_mass=M, death_rate=D, growth=growth,
-                            division=division, kernel=kernel)
-    env = EnvironmentRange(
-        s_values=_parse_list("environment", "s_values",
-                             get("environment", "s_values", "1.0")),
-        d_values=_parse_list("environment", "d_values",
-                             get("environment", "d_values", repr(D))),
-    )
-    solver = SolverSettings(
-        grid_n=_parse_int("solver", "grid_n", get("solver", "grid_n", "512")),
-        extinction_tol=_parse_float(
-            "solver", "extinction_tol", get("solver", "extinction_tol", "1e-8")),
-        max_generations=_parse_int(
-            "solver", "max_generations", get("solver", "max_generations", "10000")),
-        power_tol=_parse_float(
-            "solver", "power_tol", get("solver", "power_tol", "1e-10")),
-        power_max_iter=_parse_int(
-            "solver", "power_max_iter", get("solver", "power_max_iter", "200000")),
-        alpha_nodes=_parse_int(
-            "solver", "alpha_nodes", get("solver", "alpha_nodes", "129")),
-    )
-    simulation = SimulationSettings(
-        trials=_parse_int("simulation", "trials", get("simulation", "trials", "10000")),
-        gen_limit=_parse_int(
-            "simulation", "gen_limit", get("simulation", "gen_limit", "200")),
-        pop_cap=_parse_int(
-            "simulation", "pop_cap", get("simulation", "pop_cap", "10000")),
-        time_horizon=_parse_optional(
-            "simulation", "time_horizon", get("simulation", "time_horizon", "none")),
-        seed=_parse_int("simulation", "seed", get("simulation", "seed", "0")),
-        x0=_parse_optional("simulation", "x0", get("simulation", "x0", "none")),
-        workers=_parse_int(
-            "simulation", "workers", get("simulation", "workers", "1")),
-    )
-    cfg = RunConfig(model=model, env=env, solver=solver, simulation=simulation)
     log.info("effective configuration:\n%s", write_config(cfg))
     return cfg
 
 
-def write_config(cfg, path=None):
+def write_config(cfg):
     """Serialize a :class:`RunConfig` to INI text; round-trips exactly."""
-    m, g, d, k = cfg.model, cfg.model.growth, cfg.model.division, cfg.model.kernel
-    buf = io.StringIO()
-    buf.write("[model]\n")
-    buf.write(f"max_mass = {_fmt(m.max_mass)}\n")
-    buf.write(f"death_rate = {_fmt(m.death_rate)}\n\n")
-    buf.write("[growth]\n")
-    buf.write(f"family = {g.family}\n")
-    buf.write(f"mu_max = {_fmt(g.mu_max)}\n")
-    buf.write(f"half_saturation = {_fmt(g.half_saturation)}\n")
-    if g.mu_table:
-        buf.write(f"mu_table = {_fmt_table(g.mu_table)}\n")
-    if g.gtilde_table:
-        buf.write(f"gtilde_table = {_fmt_table(g.gtilde_table)}\n")
-    buf.write("\n[division]\n")
-    buf.write(f"family = {d.family}\n")
-    buf.write(f"b_bar = {_fmt(d.b_bar)}\n")
-    buf.write(f"m_div = {_fmt(d.m_div)}\n")
-    buf.write(f"gamma = {_fmt(d.gamma)}\n")
-    buf.write(f"s_multiplier = {d.s_multiplier}\n")
-    buf.write(f"s_half_saturation = {_fmt(d.s_half_saturation)}\n")
-    buf.write("\n[kernel]\n")
-    buf.write(f"family = {k.family}\n")
-    buf.write(f"l0 = {_fmt(k.l0)}\n")
-    buf.write(f"l1 = {_fmt(k.l1)}\n")
-    buf.write(f"beta = {_fmt(k.beta)}\n")
-    buf.write("\n[environment]\n")
-    buf.write(f"s_values = {', '.join(_fmt(v) for v in cfg.env.s_values)}\n")
-    buf.write(f"d_values = {', '.join(_fmt(v) for v in cfg.env.d_values)}\n")
-    s = cfg.solver
-    buf.write("\n[solver]\n")
-    buf.write(f"grid_n = {s.grid_n}\n")
-    buf.write(f"extinction_tol = {_fmt(s.extinction_tol)}\n")
-    buf.write(f"max_generations = {s.max_generations}\n")
-    buf.write(f"power_tol = {_fmt(s.power_tol)}\n")
-    buf.write(f"power_max_iter = {s.power_max_iter}\n")
-    buf.write(f"alpha_nodes = {s.alpha_nodes}\n")
-    sim = cfg.simulation
-    buf.write("\n[simulation]\n")
-    buf.write(f"trials = {sim.trials}\n")
-    buf.write(f"gen_limit = {sim.gen_limit}\n")
-    buf.write(f"pop_cap = {sim.pop_cap}\n")
-    buf.write(f"time_horizon = {_fmt(sim.time_horizon)}\n")
-    buf.write(f"seed = {sim.seed}\n")
-    buf.write(f"x0 = {_fmt(sim.x0)}\n")
-    buf.write(f"workers = {sim.workers}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    m = cfg.model
+    parts = {"model": m, "growth": m.growth, "division": m.division,
+             "kernel": m.kernel, "environment": cfg.env,
+             "solver": cfg.solver, "simulation": cfg.simulation}
+    blocks = []
+    for section, part in parts.items():
+        lines = [f"[{section}]"]
+        for key, (_, fmt) in _keys(section):
+            value = getattr(part, key)
+            if key.endswith("_table") and not value:
+                continue                  # an empty table is left out
+            lines.append(f"{key} = {fmt(value)}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def config_hash(cfg):

@@ -244,16 +244,6 @@ def _newton(stepper, p, tol, max_iter):
     return p, max_iter, size
 
 
-def generation_step(profile, model, S, D, alpha_nodes=129):
-    """One generation of the extinction recursion from a given profile."""
-    stepper = _Stepper(model, S, D, profile.grid, alpha_nodes)
-    values = stepper.step(np.asarray(profile.values, dtype=float))
-    delta = float(np.max(np.abs(values - profile.values)))
-    return ExtinctionProfile(grid=profile.grid, values=values, S=S, D=D,
-                             generations=profile.generations + 1,
-                             tag="generation", last_delta=delta)
-
-
 def solve_extinction(model, S, D, grid_n=512, tol=1e-8, max_generations=10000,
                      alpha_nodes=129, start=0.0):
     """Iterate the generation recursion to its fixed point.
@@ -359,19 +349,3 @@ def fixed_point_residual(profile, model, S, D, alpha_nodes=129):
     phi = daughters.two_daughter_term(p)
     res = g * dp + D * (1.0 - p) + daughters.b * (phi - p)
     return float(np.max(np.abs(res)))
-
-
-def fixed_point_gap(model, S, D, grid_n=512, tol=1e-8, max_generations=10000,
-                    alpha_nodes=129):
-    """Distance between the fixed points reached from below and from above.
-
-    The recursion from p = 0 gives the minimal fixed point (extinction);
-    from p = 1 it can settle on a larger solution when the equation has
-    several. Returns (from_below, from_above, sup_gap) for diagnostics.
-    """
-    lo = solve_extinction(model, S, D, grid_n, tol, max_generations,
-                          alpha_nodes, start=0.0)
-    hi = solve_extinction(model, S, D, grid_n, tol, max_generations,
-                          alpha_nodes, start=1.0)
-    gap = float(np.max(np.abs(lo.values - hi.values)))
-    return lo, hi, gap

@@ -133,17 +133,6 @@ def cumulative_rate(model, S, D, x, t):
     return ib, ib + D * t
 
 
-def event_time(model, S, D, x, E):
-    """Time and mass at which the cumulated event rate first reaches E.
-
-    Solves int_0^T (b + D)(A_u(x)) du = E for a unit-exponential draw E.
-    Returns (T, mass at T); (+inf, M) when the total rate mass is finite
-    and below E (immortal lineage).
-    """
-    sampler = JumpSampler(model, S, D)
-    return sampler.event(x, E)
-
-
 class JumpSampler:
     """Event-time sampler for one (model, S, D) triple.
 
@@ -214,6 +203,12 @@ class JumpSampler:
             + (M - c) * (math.log(M - lo) - log_Mm))
 
     def event(self, x, E):
+        """Time and mass at which the cumulated event rate first reaches E.
+
+        Solves int_0^T (b + D)(A_u(x)) du = E for a unit-exponential draw
+        E. Returns (T, mass at T); (+inf, M) when the total rate mass is
+        finite and below E (immortal lineage).
+        """
         if E < 0:
             raise ValueError("E must be >= 0")
         if E == 0.0:

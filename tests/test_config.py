@@ -1,24 +1,153 @@
 """Config parsing, serialization round-trips, and assumption checks."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from gfdlab import benchmarks
+from gfdlab.cli import main
 from gfdlab.config import (ConfigError, DivisionRateModel, EnvironmentRange,
                            GrowthModel, ModelDefinition, SimulationSettings,
                            SolverSettings, config_hash, load_config,
                            validate_assumptions, write_config)
 from gfdlab.kernels import DivisionKernel
 
+# config_hash of each builtin and variant config; a change here moves the
+# header of every sweep.csv and profile written from it, so it must be
+# deliberate
+PINNED_HASHES = {
+    "ADVERSE_BDEC": "807fb25e3a2126f3",
+    "ADVERSE_KERNEL": "43cfc33f27041505",
+    "CONSTANT": "c10ea34a1ca2ee82",
+    "LOGRAMP": "33d6004a67a93e9f",
+    "SLIDING_MARGIN": "66a634ac1327822b",
+    "separable_tables": "270b155bb75d09b0",
+    "limits": "77a2879c3d0acc03",
+    "ramp_gamma_2": "c8f928075cb7ccf3",
+}
 
-@pytest.mark.parametrize("name", ["CONSTANT", "LOGRAMP", "SLIDING_MARGIN"])
+
+def variant_config(name):
+    """LOGRAMP with the optional keys, tables or a generic ramp set."""
+    lr = benchmarks.named_config("LOGRAMP")
+    if name == "separable_tables":
+        xs = [i / 20 for i in range(21)]
+        growth = GrowthModel(family="separable_tables",
+                             mu_table=((0.0, 0.0), (1.0, 0.5), (10.0, 1.0)),
+                             gtilde_table=tuple((x, x * (1.0 - x)) for x in xs))
+        return replace(lr, model=replace(lr.model, growth=growth))
+    if name == "limits":
+        return replace(lr, simulation=replace(lr.simulation, time_horizon=5.0,
+                                              x0=0.3, workers=2))
+    # the gamma = 2 ramp the benchmark's generic event sampler runs on
+    division = replace(lr.model.division, gamma=2.0)
+    return replace(lr, model=replace(lr.model, division=division))
+
+
+@pytest.mark.parametrize("name", benchmarks.builtin_names())
 def test_write_load_roundtrip(name):
     cfg = benchmarks.named_config(name)
     text = write_config(cfg)
     back = load_config(io.StringIO(text))
     assert back == cfg
+    assert config_hash(back) == config_hash(cfg) == PINNED_HASHES[name]
+    assert write_config(back) == text
+
+
+@pytest.mark.parametrize("name", ["separable_tables", "limits", "ramp_gamma_2"])
+def test_write_load_roundtrip_variants(name):
+    cfg = variant_config(name)
+    text = write_config(cfg)
+    back = load_config(io.StringIO(text))
+    assert back == cfg
+    assert config_hash(back) == config_hash(cfg) == PINNED_HASHES[name]
+    assert write_config(back) == text
+
+
+def test_empty_tables_are_not_written():
+    text = write_config(benchmarks.named_config("LOGRAMP"))
+    assert "_table" not in text
+    assert "mu_table = 0.0:0.0, 1.0:0.5, 10.0:1.0\n" in write_config(
+        variant_config("separable_tables"))
+
+
+def test_int_values_in_float_fields_keep_their_hash():
+    cfg = benchmarks.named_config("CONSTANT")
+    cfg = replace(cfg, env=EnvironmentRange(s_values=(1, 2), d_values=(1,)))
+    text = write_config(cfg)
+    assert "s_values = 1.0, 2.0\n" in text
+    back = load_config(io.StringIO(text))
+    assert back == cfg
     assert config_hash(back) == config_hash(cfg)
+
+
+def test_d_values_default_to_death_rate():
+    cfg = load_config(io.StringIO("[model]\ndeath_rate = 0.7\n"))
+    assert cfg.env.d_values == (0.7,)
+
+
+def test_max_mass_reaches_every_component():
+    cfg = load_config(io.StringIO("[model]\nmax_mass = 2.0\n"))
+    parts = (cfg.model.growth, cfg.model.division, cfg.model.kernel)
+    assert [p.max_mass for p in parts] == [2.0, 2.0, 2.0]
+    # a component has no max_mass key of its own
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(io.StringIO("[growth]\nmax_mass = 2.0\n"))
+
+
+BAD_VALUES = [
+    # non-finite numbers, in every shape a float field takes
+    ("model", "death_rate = nan"),
+    ("model", "max_mass = inf"),
+    ("growth", "half_saturation = -inf"),
+    ("environment", "s_values = 1.0, nan"),
+    ("growth", "mu_table = 0.0:0.0, 1.0:inf"),
+    ("simulation", "x0 = nan"),
+    # values the dataclasses reject
+    ("growth", "mu_max = -1"),
+    ("simulation", "time_horizon = -1"),
+    ("simulation", "time_horizon = 0"),
+    ("simulation", "x0 = 2.0"),
+    ("simulation", "x0 = 0.0"),
+    ("simulation", "seed = -1"),
+    ("solver", "extinction_tol = 0"),
+    ("solver", "power_tol = -1e-10"),
+    ("solver", "max_generations = 0"),
+    ("solver", "power_max_iter = 0"),
+]
+
+
+@pytest.mark.parametrize("section, line", BAD_VALUES)
+def test_bad_values_rejected(section, line):
+    with pytest.raises(ConfigError):
+        load_config(io.StringIO(f"[{section}]\n{line}\n"))
+
+
+@pytest.mark.parametrize("command, section, line, flags", [
+    ("spectral", "model", "death_rate = nan", []),
+    ("simulate", "growth", "mu_max = -1", []),
+    ("simulate", "simulation", "time_horizon = -1", []),
+    ("simulate", "simulation", "x0 = 2.0", []),
+    ("spectral", "model", "death_rate = 1.0", ["--D", "nan"]),
+    ("spectral", "model", "death_rate = 1.0", ["--D", "-0.5"]),
+    ("spectral", "model", "death_rate = 1.0", ["--S", "inf"]),
+    ("spectral", "model", "death_rate = 1.0", ["--S", "0"]),
+    ("simulate", "model", "death_rate = 1.0", ["--x0", "2.0"]),
+    ("simulate", "model", "death_rate = 1.0", ["--x0", "nan"]),
+    ("simulate", "model", "death_rate = 1.0", ["--seed", "-1"]),
+], ids=["death_rate-nan", "mu_max-negative", "horizon-negative",
+        "x0-outside", "flag-D-nan", "flag-D-negative", "flag-S-inf",
+        "flag-S-zero", "flag-x0-outside", "flag-x0-nan", "flag-seed-negative"])
+def test_bad_input_exits_2(tmp_path, capsys, command, section, line, flags):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out),
+                 "--trials", "5", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
 
 
 def test_defaults_from_empty_config():
@@ -90,6 +219,8 @@ def test_simulation_bounds():
         SimulationSettings(trials=0)
     with pytest.raises(ConfigError):
         SimulationSettings(workers=0)
+    with pytest.raises(ConfigError):
+        SimulationSettings(time_horizon=-1.0)
 
 
 def test_model_component_mass_must_agree():

@@ -1,5 +1,7 @@
 """Generation recursion and its fixed point against branching oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from gfdlab import benchmarks
 from gfdlab.cli import CENSOR_BIAS_TOL, CENSOR_LADDER
 from gfdlab.extinction import (ExtinctionProfile, MassGrid, _Daughters,
                                _interp_matrix, _newton, _Stepper,
-                               fixed_point_gap, fixed_point_residual,
-                               generation_curve, generation_step,
+                               fixed_point_residual, generation_curve,
                                solve_extinction)
 
 
@@ -50,13 +51,11 @@ def test_values_are_probabilities(constant_profile):
 
 def test_recursion_monotone_in_generations():
     m = benchmarks.logramp_model()
-    prof = ExtinctionProfile(grid=MassGrid(128, 1.0), values=np.zeros(128),
-                             S=1.0, D=0.6, generations=0, tag="start")
+    stepper = _Stepper(m, 1.0, 0.6, MassGrid(128, 1.0))
+    p = np.zeros(128)
     for _ in range(30):
-        prev = prof.values
-        prof = generation_step(prof, m, 1.0, 0.6)
-        assert np.all(prof.values >= prev - 1e-14)
-    assert prof.generations == 30
+        prev, p = p, stepper.step(p)
+        assert np.all(p >= prev - 1e-14)
 
 
 def test_unconverged_tag():
@@ -70,10 +69,12 @@ def test_generation_curve_matches_stepwise_recursion():
     m = benchmarks.logramp_model()
     S, D, x0 = 1.0, 1.0, 0.5
     _, curve = generation_curve(m, S, D, x0, (5, 20), grid_n=128)
-    walk = ExtinctionProfile(grid=MassGrid(128, 1.0), values=np.zeros(128),
-                             S=S, D=D, generations=0, tag="start")
+    grid = MassGrid(128, 1.0)
+    stepper = _Stepper(m, S, D, grid)
+    walk = ExtinctionProfile(grid=grid, values=np.zeros(128), S=S, D=D,
+                             generations=0, tag="start")
     for n in range(1, 21):
-        walk = generation_step(walk, m, S, D)
+        walk = replace(walk, values=stepper.step(walk.values))
         if n == 5:
             assert curve[5] == pytest.approx(walk.at(x0), abs=1e-12)
     assert curve[20] == pytest.approx(walk.at(x0), abs=1e-12)
@@ -102,7 +103,9 @@ def test_minimal_fixed_point_from_below():
     # from p = 1 the recursion stays at the trivial fixed point, from 0
     # it finds the minimal one; the gap is the survival probability
     m = benchmarks.constant_rate_model()
-    lo, hi, gap = fixed_point_gap(m, 1.0, 1.0, grid_n=128)
+    lo = solve_extinction(m, 1.0, 1.0, grid_n=128, start=0.0)
+    hi = solve_extinction(m, 1.0, 1.0, grid_n=128, start=1.0)
+    gap = float(np.max(np.abs(lo.values - hi.values)))
     assert float(np.max(np.abs(hi.values - 1.0))) < 1e-12
     assert gap == pytest.approx(0.5, abs=1e-6)
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from gfdlab import benchmarks
 from gfdlab.config import (DivisionRateModel, GrowthModel, ModelDefinition)
-from gfdlab.flow import (JumpSampler, cumulative_rate, event_time, flow,
-                         hitting_time)
+from gfdlab.flow import JumpSampler, cumulative_rate, flow, hitting_time
 from gfdlab.kernels import DivisionKernel
 
 
@@ -114,7 +113,7 @@ def test_cumulative_rate_constant_division(model):
 def test_event_time_inverts_cumulative_rate(model):
     S, D, x = 1.0, 1.0, 0.25
     for E in (0.1, 1.0, 4.0):
-        T, mass = event_time(model, S, D, x, E)
+        T, mass = JumpSampler(model, S, D).event(x, E)
         assert mass == pytest.approx(flow(model, S, x, T), rel=1e-9)
         _, tu = cumulative_rate(model, S, D, x, T)
         assert tu == pytest.approx(E, rel=1e-9)
@@ -124,7 +123,7 @@ def test_event_time_ramp_rate():
     m = benchmarks.logramp_model()
     S, D, x = 2.0, 0.6, 0.3
     for E in (0.05, 0.8, 3.0):
-        T, mass = event_time(m, S, D, x, E)
+        T, mass = JumpSampler(m, S, D).event(x, E)
         _, tu = cumulative_rate(m, S, D, x, T)
         assert tu == pytest.approx(E, rel=1e-8)
 
@@ -138,7 +137,7 @@ def test_event_time_immortal_when_total_rate_finite():
         division=DivisionRateModel(family="ramp_down", b_bar=0.5,
                                    m_div=0.0, gamma=1.0),
         kernel=DivisionKernel(family="uniform", l0=0.25))
-    T, mass = event_time(m, 1.0, 0.0, 0.9, 50.0)
+    T, mass = JumpSampler(m, 1.0, 0.0).event(0.9, 50.0)
     assert T == math.inf
     assert mass == pytest.approx(1.0)
 
