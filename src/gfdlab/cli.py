@@ -534,6 +534,8 @@ def cmd_simulate(args):
     limits = SimulationLimits(gen_limit=sim.gen_limit, pop_cap=sim.pop_cap,
                               time_horizon=sim.time_horizon)
     if args.event_log is not None:
+        if args.trial < 0:
+            raise ConfigError(f"--trial must be >= 0, got {args.trial}")
         log = []
         outcome = simulate(cfg.model, S, D, x0, limits=limits,
                            seed=sim.seed, trial=args.trial, log=log)
@@ -552,10 +554,23 @@ def cmd_simulate(args):
     return 0
 
 
+def _checkpoints(text):
+    """Comma-separated checkpoint times, each positive and finite."""
+    try:
+        times = tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        times = ()
+    # written so that NaN fails the test
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise ConfigError(f"--checkpoints needs positive finite times, "
+                          f"got {text!r}")
+    return times
+
+
 def cmd_martingale(args):
     cfg, _ = _effective(args)
     S, D, x0 = _cell_args(args, cfg)
-    checkpoints = tuple(float(t) for t in args.checkpoints.split(","))
+    checkpoints = _checkpoints(args.checkpoints)
     sol = principal_eigenpair(cfg.model, S, D, grid_n=cfg.solver.grid_n,
                               tol=cfg.solver.power_tol,
                               max_iter=cfg.solver.power_max_iter)

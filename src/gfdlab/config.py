@@ -148,7 +148,8 @@ class DivisionRateModel:
         if self.family == "constant":
             out = np.where(x > c, self.b_bar, 0.0)
         elif self.family == "ramp":
-            out = self.b_bar * np.clip((x - c) / (M - c), 0.0, None) ** self.gamma
+            out = np.where(x > c, self.b_bar * np.clip(
+                (x - c) / (M - c), 0.0, None) ** self.gamma, 0.0)
         else:  # ramp_down
             out = np.where(x > c,
                            self.b_bar * ((M - x) / (M - c)) ** self.gamma, 0.0)
@@ -417,15 +418,6 @@ class AssumptionReport:
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def names(self):
-        return [c.name for c in self.checks]
 
     def failed(self):
         return [c for c in self.checks if not c.passed]

@@ -61,10 +61,6 @@ class MassGrid:
     def x(self):
         return (np.arange(self.n) + 0.5) * self.h
 
-    def __eq__(self, other):
-        return (isinstance(other, MassGrid)
-                and self.n == other.n and self.max_mass == other.max_mass)
-
 
 @dataclass
 class ExtinctionProfile:

@@ -1,79 +1,137 @@
 """Deterministic mass transport between jumps, and event-time sampling.
 
-Between division and death events a cell's mass follows dx/dt = g(S, x).
-For the logistic profile g = mu(S) x (1 - x/M) the flow, hitting times,
-and cumulated rates all have closed forms; other growth models fall back
-to adaptive integration. Masses 0 and M are equilibria: the flow started
-at M stays at M, and targets y >= M are never reached in finite time.
+Growth is separable, g = mu(S) gtilde(x). In the growth coordinate
+theta = Theta(x) = int dx / gtilde every flow moves at speed mu(S); Theta
+is the logit for gtilde = x (1 - x/M) and a log on each segment of a
+piecewise-linear gtilde table. With b = mult(S) base(x) the cumulated
+event rate from theta0 is (mult(S) (B(theta) - B(theta0)) + D (theta -
+theta0)) / mu(S), where B(theta) = int base(X(theta)) dtheta is in closed
+form for a constant or linear-ramp rate under logistic growth and
+tabulated once per model otherwise. Masses 0 and M are equilibria: the
+flow from M stays at M, and targets y >= M are never reached.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 _EVENT_NEWTON_TOL = 1e-12
 _MASS_CEIL = 1.0 - 1e-15   # masses are kept strictly below M by this factor
+# A tabulated B spans theta_lo + L [0, 1], the masses max(m_div, _TAIL M) to
+# M - _TAIL (M - m_div). Its nodes are at L (k/n)^3, packed toward the kink
+# or (x - m_div)^gamma cusp of base at the threshold, at L k/n for the cells
+# far from it, and at the kinks of X(theta); k = 0..n.
+_B_NODES = 4096
+_TAIL = 1e-12
 
 
-def _growth_of(model):
-    return getattr(model, "growth", model)
+@lru_cache(maxsize=16)
+def _coordinate(growth):
+    """(Theta, X, theta at the kinks of X) for one growth model.
+
+    On a gtilde segment of slope s, gtilde grows by e^(s dtheta) along the
+    flow, so Theta is a log and X an exponential there. The two outer
+    segments are written from the zero of gtilde at 0 or M, which keeps
+    masses near 0 and M to full precision.
+    """
+    M = growth.max_mass
+    if growth.has_logistic_profile:
+        def expit(t):   # M e^t / (1 + e^t), stable on both tails
+            if t >= 0.0:
+                return M / (1.0 + math.exp(-t)) if t < 35.0 else M * _MASS_CEIL
+            e = math.exp(t)
+            return M * e / (1.0 + e)
+
+        return lambda x: math.log(x) - math.log(M - x), expit, ()
+    x, g = np.array(growth.gtilde_table, dtype=float).T
+    if x.size < 3 or np.any(g[1:-1] <= 0.0):
+        raise ValueError("gtilde must be positive inside (0, M)")
+    dx, dg = np.diff(x), np.diff(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(dg == 0.0, dx / g[:-1], dx * np.log1p(dg / g[:-1]) / dg)
+    kinks = np.concatenate(([0.0], np.cumsum(step[1:-1]))).tolist()  # x[1:-1]
+    s, x, g = (dg / dx).tolist(), x.tolist(), g.tolist()
+    # (anchor mass, gtilde and theta, slope, zero of gtilde) per segment
+    seg = [(x[1], g[1], 0.0, s[0], 0.0)]
+    seg += [(x[k], g[k], kinks[k - 1], s[k], None) for k in range(1, len(s))]
+    seg[-1] = seg[-1][:4] + (M,)
+    inner = x[1:-1]
+
+    def theta(y):
+        xa, ga, ta, s, zero = seg[bisect_right(inner, y)]
+        if zero is not None:
+            return ta + math.log((y - zero) / (xa - zero)) / s
+        u = (y - xa) / ga
+        return ta + (math.log1p(s * u) / s if s else u)
+
+    def mass(t):
+        xa, ga, ta, s, zero = seg[bisect_right(kinks, t)]
+        u = t - ta
+        if zero is not None:
+            return zero + (xa - zero) * math.exp(s * u)
+        return xa + (ga * math.expm1(s * u) / s if s else ga * u)
+
+    return theta, mass, kinks
 
 
-def _softplus(t):
-    if t > 35.0:
-        return t
-    if t < -35.0:
-        return math.exp(t)
-    return math.log1p(math.exp(t))
+class _RateTable:
+    """B(theta) = int base(X(theta)) dtheta as a cubic Hermite spline.
+
+    Node values come from 4-point Gauss-Legendre quadrature of each cell,
+    node slopes are base(X(theta)), just above m_div at the first node.
+    Two end cells carry B on linearly, with the limit slope base(M) at the
+    top, so a rate that dies out at M keeps a finite total.
+    """
+
+    def __init__(self, growth, division):
+        theta, mass, kinks = _coordinate(growth)
+        mass = np.vectorize(mass, otypes=[float])
+        M, c = division.max_mass, division.m_div
+        lo = theta(max(c, _TAIL * M))
+        k = np.arange(_B_NODES + 1) / _B_NODES
+        t = lo + (theta(M - _TAIL * (M - c)) - lo) * np.union1d(k, k ** 3)
+        t = np.union1d(t, [z for z in kinks if t[0] < z < t[-1]])
+        gx, gw = np.polynomial.legendre.leggauss(4)
+        h = np.diff(t)
+        q = t[:-1, None] + 0.5 * h[:, None] * (gx + 1.0)
+        B = np.concatenate(([0.0], np.cumsum(0.5 * h * (division.base(mass(q)) @ gw))))
+        x = mass(t)
+        x[0] = max(x[0], np.nextafter(c, M))
+        d = division.base(x)
+        d[-1] = division.base(M)
+        dB, d0, d1 = np.diff(B), d[:-1] * h, d[1:] * h    # cubic in (theta - t) / h
+        self.nodes = t.tolist()
+        self.cells = [(self.nodes[0], 1.0, 0.0, float(d[0]), 0.0, 0.0)]
+        self.cells += zip(self.nodes, h.tolist(), B.tolist(), d0.tolist(),
+                          (3.0 * dB - 2.0 * d0 - d1).tolist(),
+                          (d0 + d1 - 2.0 * dB).tolist())
+        self.cells.append((self.nodes[-1], 1.0, float(B[-1]), float(d[-1]), 0.0, 0.0))
+
+    def __call__(self, theta):
+        """(B(theta), B'(theta))."""
+        t, h, b, c1, c2, c3 = self.cells[bisect_right(self.nodes, theta)]
+        u = (theta - t) / h
+        return b + u * (c1 + u * (c2 + u * c3)), (c1 + u * (2.0 * c2 + 3.0 * u * c3)) / h
 
 
-def _theta(z, M):
-    """Logit mass coordinate ln(z / (M - z)); monotone on (0, M)."""
-    return math.log(z) - math.log(M - z)
-
-
-def _mass_from_theta(t, M):
-    # m = M e^t / (1 + e^t), stable on both tails
-    if t >= 0.0:
-        return M / (1.0 + math.exp(-t)) if t < 35.0 else M * _MASS_CEIL
-    e = math.exp(t)
-    return M * e / (1.0 + e)
+_rate_table = lru_cache(maxsize=16)(_RateTable)
 
 
 def flow(model, S, x, t):
     """Mass after time t of a cell starting at x under resource S.
 
-    Closed form for the logistic growth profile, otherwise an adaptive
-    ODE solve. Vectorizes over ``x`` and ``t`` for the closed form.
+    X(Theta(x) + mu(S) t), vectorized over ``x`` and ``t``.
     """
-    growth = _growth_of(model)
-    M = growth.max_mass
-    if growth.has_logistic_profile:
-        r = growth.mu(S)
-        xx = np.asarray(x, dtype=float)
-        tt = np.asarray(t, dtype=float)
-        if np.any(xx < 0) or np.any(xx > M):
-            raise ValueError("mass outside [0, M]")
-        with np.errstate(divide="ignore", over="ignore"):
-            w = (M - xx) / np.where(xx > 0, xx, 1.0)
-            out = M / (1.0 + w * np.exp(-r * tt))
-        out = np.where(xx > 0, out, 0.0)
-        out = np.where(xx >= M, M, out)
-        return out if out.shape else float(out)
-    if np.ndim(x) or np.ndim(t):
-        raise ValueError("array arguments need the logistic profile")
-    if x <= 0.0:
-        return 0.0
-    if x >= M:
-        return M
-    if t == 0.0:
-        return float(x)
-    sol = solve_ivp(lambda _, m: growth.g(S, np.clip(m, 0.0, M)),
-                    (0.0, t), [x], rtol=1e-10, atol=1e-13 * M)
-    return float(min(sol.y[0, -1], M))
+    xx = np.asarray(x, dtype=float)
+    if np.any(xx < 0) or np.any(xx > model.max_mass):
+        raise ValueError("mass outside [0, M]")
+    out = np.vectorize(JumpSampler(model, S, 0.0).mass_after,
+                       otypes=[float])(xx, t)
+    return out if out.shape else float(out)
 
 
 def hitting_time(model, S, x, y):
@@ -82,54 +140,32 @@ def hitting_time(model, S, x, y):
     Requires 0 < x <= y <= M; the mass M is only approached
     asymptotically, so any target at or above M returns +inf.
     """
-    growth = _growth_of(model)
-    M = growth.max_mass
-    if not 0.0 < x <= y <= M:
+    if not 0.0 < x <= y <= model.max_mass:
         raise ValueError("need 0 < x <= y <= M")
-    if y >= M:
+    if y >= model.max_mass:
         return math.inf
-    if y == x:
-        return 0.0
-    if growth.has_logistic_profile:
-        r = growth.mu(S)
-        return (_theta(y, M) - _theta(x, M)) / r
-    val, _ = quad(lambda z: 1.0 / growth.g(S, z), x, y, limit=200)
-    return float(val)
+    theta = _coordinate(model.growth)[0]
+    return (theta(y) - theta(x)) / model.growth.mu(S)
 
 
 def cumulative_rate(model, S, D, x, t):
     """Integrals of b and of b + D along the flow from x over [0, t].
 
-    Returns the pair (int b(A_u) du, int (b + D)(A_u) du). The division
-    part uses the mass-variable closed form for built-in families and an
-    augmented ODE otherwise.
+    Returns the pair (int b(A_u) du, int (b + D)(A_u) du).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    sampler = JumpSampler(model, S, D)
-    if sampler.fast:
-        M = sampler.M
-        if x <= 0.0:
-            return 0.0, D * t
-        if x >= M:
-            ib = float(model.b(S, M)) * t
-            return ib, ib + D * t
-        # the logit coordinate advances linearly along the logistic flow,
-        # so the division integral never needs the (possibly saturated) mass
-        theta_m = _theta(x, M) + sampler.r * t
-        ib = sampler._hb_theta(max(x, sampler.c), theta_m)
-        return ib, ib + D * t
     if x <= 0.0:
         return 0.0, D * t
-    growth = _growth_of(model)
-    M = growth.max_mass
-
-    def rhs(_, state):
-        m = min(max(state[0], 0.0), M)
-        return [growth.g(S, m), model.b(S, m)]
-
-    sol = solve_ivp(rhs, (0.0, t), [x, 0.0], rtol=1e-10, atol=1e-13)
-    ib = float(sol.y[1, -1])
+    if x >= model.max_mass:
+        ib = float(model.b(S, model.max_mass)) * t
+        return ib, ib + D * t
+    # the growth coordinate advances linearly along the flow, so the
+    # division integral never needs the (possibly saturated) mass
+    theta, r = _coordinate(model.growth)[0], float(model.growth.mu(S))
+    B = _rate_table(model.growth, model.division)
+    lo, hi = theta(max(x, model.division.m_div)), theta(x) + r * t
+    ib = float(model.division.multiplier(S)) * max(B(hi)[0] - B(lo)[0], 0.0) / r
     return ib, ib + D * t
 
 
@@ -137,18 +173,18 @@ class JumpSampler:
     """Event-time sampler for one (model, S, D) triple.
 
     Prepares scalar constants once so that ``event`` costs a handful of
-    float operations per call; built-in families (logistic growth with a
-    constant or linear-ramp division rate) invert the cumulated rate in
-    the logit mass coordinate by a monotone Newton iteration. Anything
-    else integrates the augmented ODE with a terminal event.
+    float operations per call. It inverts the cumulated rate in the growth
+    coordinate by a Newton iteration kept inside a bracket. Logistic
+    growth with a constant or linear-ramp division rate (``fast``) takes B
+    in closed form; every other model reads B from a table built once per
+    model.
     """
 
     def __init__(self, model, S, D):
         self.model = model
         self.S = float(S)
         self.D = float(D)
-        growth = model.growth
-        div = model.division
+        growth, div = model.growth, model.division
         self.M = model.max_mass
         mult = float(div.multiplier(S))
         self.fast = bool(
@@ -163,7 +199,10 @@ class JumpSampler:
         self.constant_b = div.family == "constant"
         # linear-ramp slope; rate is slope * (m - c) above the threshold
         self.slope = 0.0 if self.constant_b else self.b_top / (self.M - self.c)
-        self._theta_c = _theta(self.c, self.M) if self.c > 0 else -math.inf
+        self._mult = mult
+        self._coord = _coordinate(growth)
+        self._table = None if self.fast else _rate_table(growth, div)
+        self._theta_c = self._coord[0](self.c) if self.c > 0 else -math.inf
         self._log_M = math.log(self.M)
 
     # fast scalar division rate, mirrors model.b for the built-in families
@@ -177,30 +216,10 @@ class JumpSampler:
         return self.slope * (m - self.c)
 
     def mass_after(self, m, dt):
-        """Flow endpoint, fast path in the logit coordinate."""
-        if not self.fast:
-            return flow(self.model, self.S, m, dt)
-        if m <= 0.0:
-            return 0.0
-        if m >= self.M:
-            return self.M
-        return _mass_from_theta(_theta(m, self.M) + self.r * dt, self.M)
-
-    def _hb_theta(self, lo, theta_m):
-        """Same integral with the upper end given in the logit coordinate."""
-        M = self.M
-        theta_lo = _theta(lo, M)
-        if theta_m <= theta_lo:
-            return 0.0
-        if self.constant_b:
-            return self.b_top * (theta_m - theta_lo) / self.r
-        sp = _softplus(theta_m)
-        log_m = self._log_M + theta_m - sp
-        log_Mm = self._log_M - sp
-        c = self.c
-        return (self.slope / self.r) * (
-            c * (math.log(lo) - log_m)
-            + (M - c) * (math.log(M - lo) - log_Mm))
+        """Flow endpoint X(Theta(m) + mu(S) dt); masses 0 and M stay put."""
+        if m <= 0.0 or m >= self.M:
+            return min(max(m, 0.0), self.M)
+        return self._coord[1](self._coord[0](m) + self.r * dt)
 
     def event(self, x, E):
         """Time and mass at which the cumulated event rate first reaches E.
@@ -213,95 +232,74 @@ class JumpSampler:
             raise ValueError("E must be >= 0")
         if E == 0.0:
             return 0.0, float(x)
-        if not self.fast:
-            return self._event_generic(x, E)
         M, D, r = self.M, self.D, self.r
         if x <= 0.0:
             # mass 0 is an equilibrium with b = 0; only death can strike
             return (E / D, 0.0) if D > 0.0 else (math.inf, 0.0)
         if x >= M:
             x = M * _MASS_CEIL
-        theta_x = _theta(x, M)
+        to_theta, to_mass, _ = self._coord
+        theta_x = to_theta(x)
         elapsed = 0.0
         theta0 = theta_x
         if x < self.c:
             t_c = (self._theta_c - theta_x) / r
             if D > 0.0 and E <= D * t_c:
                 T = E / D
-                return T, _mass_from_theta(theta_x + r * T, M)
+                return T, to_mass(theta_x + r * T)
             E -= D * t_c
             elapsed = t_c
             theta0 = self._theta_c
-        # Newton in the logit coordinate; the cumulated rate is convex and
-        # increasing there, and the start below the root keeps every step
-        # on the safe side.
+        # Newton from below the root. The closed-form cumulated rate is
+        # convex and increasing, so its steps need no safeguard; a table's
+        # steps stay in a bracket [lo, hi], bisecting it where they would not.
         theta = theta0 + r * E / (self.b_top + D)
-        target = E
-        c, slope = self.c, self.slope
-        log_lo = None
-        if not self.constant_b:
-            lo = max(x, c)
-            log_lo = (math.log(lo), math.log(M - lo))
+        table, mult = self._table, self._mult
+        if table is not None:
+            B0 = table(theta0)[0]
+            lo, hi = theta0, math.inf
+            top, _, _, d_top = table.cells[-1][:4]
+            top = max(top, theta0)
+            v_top = (mult * (table(top)[0] - B0) + D * (top - theta0)) / r
+            if v_top > E:
+                hi = top
+            elif mult * d_top + D > 0.0:   # B is linear past the top node
+                lo = theta = max(theta, top)
+            else:
+                return math.inf, M
+        else:
+            c, slope = self.c, self.slope
+            lo_m = max(x, c)
+            log_lo = (math.log(lo_m), math.log(M - lo_m))
         for _ in range(200):
-            sp = _softplus(theta)
-            log_m = self._log_M + theta - sp
-            log_Mm = self._log_M - sp
-            if self.constant_b:
+            if table is not None:
+                Bt, dB = table(theta)
+                val = (mult * (Bt - B0) + D * (theta - theta0)) / r
+                rate = mult * dB + D
+            elif self.constant_b:
                 val = (self.b_top + D) * (theta - theta0) / r
-                m = _mass_from_theta(theta, M)
                 rate = self.b_top + D
             else:
+                # softplus ln(1 + e^theta), stable on both tails
+                sp = (theta if theta > 35.0 else math.exp(theta) if theta < -35.0
+                      else math.log1p(math.exp(theta)))
+                log_m = self._log_M + theta - sp
+                log_Mm = self._log_M - sp
                 val = (slope / r) * (c * (log_lo[0] - log_m)
                                      + (M - c) * (log_lo[1] - log_Mm))
                 val += D * (theta - theta0) / r
-                m = _mass_from_theta(theta, M)
-                rate = slope * (m - c) + D
-            err = val - target
-            if abs(err) <= _EVENT_NEWTON_TOL * (1.0 + target):
+                rate = slope * (to_mass(theta) - c) + D
+            err = val - E
+            if abs(err) <= _EVENT_NEWTON_TOL * (1.0 + E):
                 break
-            step = -err * r / rate
+            if table is None:
+                step = -err * r / rate
+            else:
+                lo, hi = (theta, hi) if err < 0.0 else (lo, theta)
+                step = -err * r / rate if rate > 0.0 else math.inf
+                if not lo <= theta + step <= hi:
+                    step = 0.5 * (lo + hi) - theta
             theta += step
             if abs(step) <= 1e-15 * max(1.0, abs(theta)):
                 break
-        m = min(_mass_from_theta(theta, M), M * _MASS_CEIL)
-        T = elapsed + (theta - theta0) / r
-        return T, m
-
-    def _event_generic(self, x, E):
-        growth = self.model.growth
-        M, D, S = self.M, self.D, self.S
-        if x <= 0.0:
-            if D <= 0.0:
-                return math.inf, 0.0
-            return E / D, 0.0
-
-        def rhs(_, state):
-            m = min(max(state[0], 0.0), M)
-            return [growth.g(S, m), self.model.b(S, m) + D]
-
-        def hit(_, state):
-            return state[1] - E
-
-        hit.terminal = True
-        hit.direction = 1.0
-        t0, state = 0.0, [float(x), 0.0]
-        span = max(1.0, E / max(D + self.b(x), 1e-12))
-        for _ in range(60):
-            sol = solve_ivp(rhs, (t0, t0 + span), state, rtol=1e-10,
-                            atol=1e-13, events=hit, dense_output=False)
-            if sol.t_events[0].size:
-                T = float(sol.t_events[0][0])
-                m = float(sol.y_events[0][0][0])
-                return T, min(m, M * _MASS_CEIL)
-            t0 = float(sol.t[-1])
-            state = [float(sol.y[0, -1]), float(sol.y[1, -1])]
-            # stalled integral with no growth left means no event will come
-            if rhs(t0, state)[1] <= 1e-300 and state[0] >= M * (1 - 1e-12):
-                break
-            if rhs(t0, state)[1] <= 1e-300 and self.D == 0.0:
-                bmax = float(np.max(self.model.b(
-                    S, np.linspace(state[0], M, 64))))
-                if bmax <= 0.0:
-                    break
-            span *= 2.0
-        return math.inf, M
+        return elapsed + (theta - theta0) / r, min(to_mass(theta), M * _MASS_CEIL)

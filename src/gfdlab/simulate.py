@@ -10,8 +10,8 @@ out is negligible for any supercritical model, and the generation cap
 estimates survival to that generation, which converges to the true
 survival probability). A time horizon asks for survival to that time: a
 lineage alive at the horizon ends the trial as survival. Martingale
-checkpoints are read off the same walk, which then follows every
-lineage up to the last checkpoint.
+checkpoints and event logs are read off the same walk, which then
+follows every lineage up to the last checkpoint or the horizon.
 
 Randomness: one Philox stream per trial, derived from the master seed by
 the counter construction SeedSequence(seed, spawn_key=(trial,)), so any
@@ -51,7 +51,8 @@ class SimulationOutcome:
     last cell died. Censored trials report the censor reason, the deepest
     generation seen, and in ``final_size`` the number of lineages still
     pending in the depth-first walk when it stopped, for every reason,
-    ``time_horizon`` included (not the population alive at the horizon).
+    ``time_horizon`` included; a trial with an event log walks on past the
+    horizon and reports the population alive there instead.
     """
 
     survived: bool
@@ -77,9 +78,6 @@ class SurvivalEstimate:
     censored: dict
     seed: int
     limits: SimulationLimits
-
-    def interval_contains(self, p):
-        return self.wilson_low <= p <= self.wilson_high
 
 
 @dataclass
@@ -180,10 +178,11 @@ def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
 
     A lineage whose next event falls at or past the time horizon is alive
     at the horizon and stops the trial as survival; with no horizon that
-    only happens to a cell that will never have another event. With
-    ``visit(m, tb, te)``, every cell (mass at birth, birth and event
-    times) is shown to the callback, and a lineage past the horizon is
-    dropped instead.
+    only happens to a cell that will never have another event. With an
+    event ``log`` or with ``visit(m, tb, te)``, which is shown every cell
+    (mass at birth, birth and event times), a lineage past a finite
+    horizon is dropped instead, so the walk sees every event before the
+    horizon; the outcome then counts the lineages alive at the horizon.
     """
     D = sampler.D
     gen_limit = limits.gen_limit
@@ -202,6 +201,8 @@ def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
     max_gen = 0
     t_last = 0.0
     events = 0
+    walk_on = horizon < _INF and (log is not None or visit is not None)
+    alive = 0   # lineages dropped at the horizon
     while stack:
         m, gen, tb, ident = pop()
         events += 1
@@ -213,7 +214,8 @@ def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
         if visit is not None:
             visit(m, tb, te)
         if te >= horizon:
-            if visit is not None:
+            if walk_on:
+                alive += 1
                 continue
             if horizon == _INF:
                 return SimulationOutcome(True, "immortal", max_gen, tb,
@@ -244,6 +246,9 @@ def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
         if len(stack) > pop_cap:
             return SimulationOutcome(True, "population_cap", max_gen, te,
                                      len(stack), divisions, deaths)
+    if alive:
+        return SimulationOutcome(True, "time_horizon", max_gen, horizon,
+                                 alive, divisions, deaths)
     return SimulationOutcome(False, None, max_gen + 1, t_last, 0,
                              divisions, deaths)
 

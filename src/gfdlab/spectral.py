@@ -62,14 +62,6 @@ class SpectralSolution:
     shift: float
     lambda_plus_D_positive: bool
 
-    def u_at(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.grid.x, self.u)
-        return out if out.shape else float(out)
-
-    def v_at(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.grid.x, self.v)
-        return out if out.shape else float(out)
-
     def to_csv(self, path, extra=None):
         with open(path, "w") as fh:
             fh.write(f"# S={self.S!r} D={self.D!r} eigenvalue={self.eigenvalue!r}\n")

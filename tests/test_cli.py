@@ -283,6 +283,21 @@ def test_event_log_file(tmp_path, capsys):
     assert "events=" in capsys.readouterr().out
 
 
+def test_negative_trial_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "events.bin"
+    assert main(["simulate", "--config", "builtin:CONSTANT",
+                 "--event-log", str(path), "--trial", "-3"]) == 2
+    assert "--trial" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("checkpoints", ["0.5,,1.0", "0.5,nan", "-1,-0.5"])
+def test_bad_checkpoints_are_exit_2(checkpoints, capsys):
+    assert main(["martingale", "--config", "builtin:CONSTANT", "--grid", "64",
+                 "--trials", "2", f"--checkpoints={checkpoints}"]) == 2
+    assert "--checkpoints" in capsys.readouterr().err
+
+
 def test_martingale_command(capsys):
     code = main(["martingale", "--config", "builtin:CONSTANT",
                  "--grid", "128", "--trials", "800",

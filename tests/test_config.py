@@ -239,6 +239,13 @@ def test_growth_tables_must_vanish_at_ends():
                     gtilde_table=((0.0, 0.5), (1.0, 0.0)))
 
 
+@pytest.mark.parametrize("family", ["constant", "ramp", "ramp_down"])
+def test_division_rate_zero_at_and_below_threshold(family):
+    # gamma = 0 makes every family a step at m_div; 0**0 is 1 in numpy
+    div = DivisionRateModel(family=family, b_bar=2.0, m_div=0.3, gamma=0.0)
+    assert div.base([0.1, 0.3, 0.5]).tolist() == [0.0, 0.0, 2.0]
+
+
 def test_mu_monotone_in_resource():
     g = GrowthModel(family="logistic_monod", mu_max=2.0, half_saturation=1.0)
     assert g.mu(1.0) == pytest.approx(1.0)

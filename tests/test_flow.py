@@ -1,23 +1,30 @@
 """Deterministic flow, hitting times, and event-time inversion."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
+import gfdlab
 from gfdlab import benchmarks
 from gfdlab.config import (DivisionRateModel, GrowthModel, ModelDefinition)
 from gfdlab.flow import JumpSampler, cumulative_rate, flow, hitting_time
 from gfdlab.kernels import DivisionKernel
+from gfdlab.simulate import SimulationLimits, simulate
 
 
 def tables_clone(mu_max=1.0, n=4001):
     """Same logistic field expressed through interpolation tables.
 
-    Forces the generic ODE code paths so they can be checked against
-    the closed forms.
+    Forces the tabulated code paths so they can be checked against the
+    closed forms.
     """
     s = np.linspace(0.0, 64.0, 257)
     mu = mu_max * s / (1.0 + s)
@@ -156,3 +163,118 @@ def test_jump_sampler_matches_ode_path(model):
         Ts, ms = slow.event(0.2, E)
         assert Ts == pytest.approx(Tf, rel=1e-5)
         assert ms == pytest.approx(mf, rel=1e-4)
+
+
+# -- the tabulated sampler against quadrature written here ----------------
+
+def tent_growth():
+    """A piecewise-linear gtilde that is not logistic, with a flat stretch."""
+    return GrowthModel(
+        family="separable_tables", max_mass=1.0,
+        mu_table=((0.0, 0.0), (1.0, 1.5), (10.0, 2.0)),
+        gtilde_table=((0.0, 0.0), (0.2, 0.3), (0.5, 0.35), (0.7, 0.35),
+                      (0.9, 0.1), (1.0, 0.0)))
+
+
+def oracle_models():
+    lr = benchmarks.logramp_model()
+    ramp = lr.division
+    return {
+        "ramp gamma 0.5": replace(lr, division=replace(ramp, gamma=0.5)),
+        "ramp gamma 2": replace(lr, division=replace(ramp, gamma=2.0)),
+        "ramp gamma 0": replace(lr, division=replace(ramp, gamma=0.0)),
+        "ADVERSE_BDEC": benchmarks.adversarial_bdec_model(),
+        "tables": replace(lr, growth=tent_growth()),
+        "tables ramp_down": replace(lr, growth=tent_growth(), division=replace(
+            ramp, family="ramp_down", m_div=0.1, gamma=1.5)),
+    }
+
+
+def along_flow(model, S, x, m, f):
+    """int f/g over the masses [x, m], which is int f(A_t) dt along the flow.
+
+    With f = b + D this is the cumulated event rate, with f = 1 the time
+    the flow takes to carry x to m. The division threshold and the gtilde
+    table nodes are passed to quad as breaks.
+    """
+    breaks = [model.division.m_div]
+    breaks += [p[0] for p in model.growth.gtilde_table]
+    breaks = [p for p in breaks if x < p < m] or None
+    return integrate.quad(lambda y: f(y) / float(model.g(S, y)), x, m,
+                          points=breaks, limit=500, epsabs=1e-14,
+                          epsrel=1e-13)[0]
+
+
+def event_rate(model, S, D, x, m):
+    return along_flow(model, S, x, m, lambda y: float(model.b(S, y)) + D)
+
+
+@pytest.mark.parametrize("name", list(oracle_models()))
+def test_tabulated_event_matches_quadrature(name):
+    model = oracle_models()[name]
+    assert not JumpSampler(model, 1.0, 1.0).fast
+    for S, D in ((2.0, 0.6), (0.5, 0.0)):
+        sampler = JumpSampler(model, S, D)
+        for x in (0.05, 0.15, 0.5, 0.9):
+            for E in (0.05, 0.8, 3.0):
+                T, m = sampler.event(x, E)
+                if T == math.inf:
+                    # immortal: the whole rate along the flow is below E
+                    assert m == 1.0
+                    assert event_rate(model, S, D, x, 1.0) < E
+                    continue
+                rate = event_rate(model, S, D, x, m)
+                t_flow = along_flow(model, S, x, m, lambda y: 1.0)
+                assert abs(rate - E) <= 1e-8 * E
+                assert abs(t_flow - T) <= 1e-8 * T
+                assert hitting_time(model, S, x, m) == pytest.approx(
+                    T, rel=1e-9)
+                assert cumulative_rate(model, S, D, x, T)[1] == pytest.approx(
+                    E, rel=1e-8)
+
+
+def test_adverse_bdec_immortal_draw():
+    """ramp_down with D = 0: the total rate from x is finite."""
+    model = benchmarks.adversarial_bdec_model()
+    sampler = JumpSampler(model, 1.0, 0.0)
+    total = event_rate(model, 1.0, 0.0, 0.6, 1.0)
+    assert sampler.event(0.6, total * 1.001) == (math.inf, 1.0)
+    T, m = sampler.event(0.6, total * 0.999)
+    assert T < math.inf
+    assert event_rate(model, 1.0, 0.0, 0.6, m) == pytest.approx(
+        total * 0.999, rel=1e-8)
+
+
+def test_tabulated_event_times_ks():
+    """First event times of the trial engine fit the rate integrated here.
+
+    With gen_limit 1 a trial ends at its root's event, death or division.
+    The cumulated rate Lambda(T) comes from an ODE solve of the flow with
+    the rate as a second component, so 1 - exp(-Lambda(T)) is uniform.
+    A wrong death rate must be rejected.
+    """
+    model = replace(benchmarks.logramp_model(), growth=tent_growth())
+    S, D, x0 = 2.0, 0.6, 0.3
+    times = np.array([
+        simulate(model, S, D, x0, limits=SimulationLimits(gen_limit=1),
+                 seed=21, trial=t).time for t in range(2000)])
+
+    def rhs(_, y):
+        m = min(max(y[0], 0.0), 1.0)
+        return [float(model.g(S, m)), float(model.b(S, m)) + D]
+
+    sol = integrate.solve_ivp(rhs, (0.0, times.max()), [x0, 0.0],
+                              dense_output=True, rtol=1e-10, atol=1e-12)
+    rate = sol.sol(times)[1]
+    assert stats.kstest(-np.expm1(-rate), "uniform").pvalue > 1e-3
+    wrong = rate + 0.5 * times
+    assert stats.kstest(-np.expm1(-wrong), "uniform").pvalue < 1e-6
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(gfdlab.__file__))
+    code = "import sys, gfdlab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -8,9 +8,10 @@ import pytest
 from gfdlab import benchmarks
 from gfdlab.config import DivisionRateModel, GrowthModel, ModelDefinition
 from gfdlab.kernels import DivisionKernel
-from gfdlab.simulate import (SimulationLimits, estimate_survival,
-                             martingale_check, simulate, trial_seed,
-                             wilson_interval)
+from gfdlab.flow import JumpSampler
+from gfdlab.simulate import (SimulationLimits, _Draws, _make_fraction_sampler,
+                             estimate_survival, martingale_check, simulate,
+                             trial_seed, wilson_interval)
 from gfdlab.spectral import principal_eigenpair
 
 
@@ -189,6 +190,41 @@ def test_event_log_horizon_engine_chronological(model):
     times = [rec[0] for rec in log]
     assert times == sorted(times)
     assert all(t <= 4.0 for t in times)
+
+
+def events_before(model, S, D, x0, horizon, seed, trial):
+    """Every event of a trial before the horizon, by a plain depth-first
+    walk on the trial's stream that drops each lineage past the horizon."""
+    sampler = JumpSampler(model, S, D)
+    fraction_of = _make_fraction_sampler(model.kernel)
+    u = _Draws(trial_seed(seed, trial)).u
+    stack, next_id, log = [(x0, 0.0, 0)], 1, []
+    while stack:
+        m, tb, ident = stack.pop()
+        T, mT = sampler.event(m, -math.log1p(-u()))
+        te = tb + T
+        if te >= horizon:
+            continue
+        if u() * (sampler.b(mT) + D) < D:
+            log.append((te, ident, 1, -1.0))
+            continue
+        a = fraction_of(mT, u())
+        log.append((te, ident, 0, a))
+        stack += [(a * mT, te, next_id), ((1.0 - a) * mT, te, next_id + 1)]
+        next_id += 2
+    return sorted(log)
+
+
+def test_event_log_with_horizon_is_complete(model):
+    limits = SimulationLimits(time_horizon=4.0)
+    for t in range(200):
+        log = []
+        out = simulate(model, 1.0, 1.0, 0.5, limits=limits, seed=12, trial=t,
+                       log=log)
+        assert [(te, i, tag, -1.0 if tag else a) for te, i, tag, a in log] \
+            == events_before(model, 1.0, 1.0, 0.5, 4.0, 12, t)
+        assert out.survived == simulate(model, 1.0, 1.0, 0.5, limits=limits,
+                                        seed=12, trial=t).survived
 
 
 def test_outcome_status(model):
