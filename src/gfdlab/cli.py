@@ -15,12 +15,14 @@ times go to the side report only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
 import struct
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -146,7 +148,7 @@ def classify_row(eigenvalue, p_x0, wilson_low, eps_lambda=EPS_LAMBDA,
     return "PASS" if ok else "FAIL"
 
 
-def _sweep_cell(model, solver, sim, S, D, x0, seed, workers):
+def _sweep_cell(model, solver, sim, S, D, x0, seed, workers, pool):
     timings = {}
     t0 = time.perf_counter()
     sol = principal_eigenpair(model, S, D, grid_n=solver.grid_n,
@@ -174,7 +176,7 @@ def _sweep_cell(model, solver, sim, S, D, x0, seed, workers):
                               time_horizon=sim.time_horizon)
     t0 = time.perf_counter()
     est = estimate_survival(model, S, D, x0, sim.trials, limits=limits,
-                            seed=seed, workers=workers)
+                            seed=seed, workers=workers, pool=pool)
     timings["mc"] = time.perf_counter() - t0
 
     row = SweepRow(
@@ -229,12 +231,14 @@ def run_sweep(config, out_dir=None, workers=None):
         csv_fh.write(",".join(_CSV_COLUMNS) + "\n")
         csv_fh.flush()
 
-    cell = 0
-    for S in env.s_values:
-        for D in env.d_values:
+    # one pool of MC workers serves every cell
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        for cell, (S, D) in enumerate((S, D) for S in env.s_values
+                                      for D in env.d_values):
             row, sol, prof, timings = _sweep_cell(
                 model, solver, sim, S, D, x0, seed=sim.seed + cell,
-                workers=workers)
+                workers=workers, pool=pool)
             result.rows.append(row)
             result.profiles[(S, D)] = prof
             result.solutions[(S, D)] = sol
@@ -250,7 +254,6 @@ def run_sweep(config, out_dir=None, workers=None):
                             residual=res,
                             extra={"config_hash": config_hash(config)})
                 sol.to_csv(os.path.join(profile_dir, f"spectral_{stem}.csv"))
-            cell += 1
     if csv_fh is not None:
         csv_fh.close()
         _write_report(os.path.join(out_dir, "report.txt"), config, result)

@@ -31,7 +31,7 @@ _TAIL = 1e-12
 
 @lru_cache(maxsize=16)
 def _coordinate(growth):
-    """(Theta, X, theta at the kinks of X) for one growth model.
+    """(Theta, X, theta at the kinks of X, X on arrays) for one growth model.
 
     On a gtilde segment of slope s, gtilde grows by e^(s dtheta) along the
     flow, so Theta is a log and X an exponential there. The two outer
@@ -46,7 +46,12 @@ def _coordinate(growth):
             e = math.exp(t)
             return M * e / (1.0 + e)
 
-        return lambda x: math.log(x) - math.log(M - x), expit, ()
+        def expits(t):
+            e = np.exp(-np.abs(t))
+            return np.where(t < 0.0, M * e / (1.0 + e),
+                            np.where(t < 35.0, M / (1.0 + e), M * _MASS_CEIL))
+
+        return lambda x: math.log(x) - math.log(M - x), expit, (), expits
     x, g = np.array(growth.gtilde_table, dtype=float).T
     if x.size < 3 or np.any(g[1:-1] <= 0.0):
         raise ValueError("gtilde must be positive inside (0, M)")
@@ -75,7 +80,19 @@ def _coordinate(growth):
             return zero + (xa - zero) * math.exp(s * u)
         return xa + (ga * math.expm1(s * u) / s if s else ga * u)
 
-    return theta, mass, kinks
+    cols = np.array([p[:4] + (math.nan if p[4] is None else p[4],)
+                     for p in seg])
+
+    def masses(t):
+        at = cols[np.searchsorted(kinks, t, side="right")]
+        xa, ga, ta, s, zero = np.moveaxis(at, -1, 0)
+        u = t - ta
+        with np.errstate(all="ignore"):
+            outer = zero + (xa - zero) * np.exp(s * u)
+            inner = xa + np.where(s != 0.0, ga * np.expm1(s * u) / s, ga * u)
+        return np.where(np.isnan(zero), inner, outer)
+
+    return theta, mass, kinks, masses
 
 
 class _RateTable:
@@ -88,8 +105,7 @@ class _RateTable:
     """
 
     def __init__(self, growth, division):
-        theta, mass, kinks = _coordinate(growth)
-        mass = np.vectorize(mass, otypes=[float])
+        theta, _, kinks, mass = _coordinate(growth)
         M, c = division.max_mass, division.m_div
         lo = theta(max(c, _TAIL * M))
         k = np.arange(_B_NODES + 1) / _B_NODES
@@ -174,10 +190,10 @@ class JumpSampler:
 
     Prepares scalar constants once so that ``event`` costs a handful of
     float operations per call. It inverts the cumulated rate in the growth
-    coordinate by a Newton iteration kept inside a bracket. Logistic
-    growth with a constant or linear-ramp division rate (``fast``) takes B
-    in closed form; every other model reads B from a table built once per
-    model.
+    coordinate by Newton's method. Logistic growth with a constant or
+    linear-ramp division rate (``fast``) takes B in closed form; every
+    other model reads B from a table built once per model, and its Newton
+    steps stay inside a bracket.
     """
 
     def __init__(self, model, S, D):
@@ -200,20 +216,31 @@ class JumpSampler:
         # linear-ramp slope; rate is slope * (m - c) above the threshold
         self.slope = 0.0 if self.constant_b else self.b_top / (self.M - self.c)
         self._mult = mult
+        self._div = div
         self._coord = _coordinate(growth)
         self._table = None if self.fast else _rate_table(growth, div)
         self._theta_c = self._coord[0](self.c) if self.c > 0 else -math.inf
-        self._log_M = math.log(self.M)
+        # closed-form ramp: r val(theta) = slope M softplus(theta) + (D -
+        # slope c) theta + const, and its second derivative in theta is
+        # slope X'(theta) <= slope M / 4
+        self._remainder = self.slope * self.M / (8.0 * self.r)
 
-    # fast scalar division rate, mirrors model.b for the built-in families
     def b(self, m):
-        if not self.fast:
-            return float(self.model.b(self.S, m))
-        if m <= self.c:
+        """Division rate at mass m, with the arithmetic of ``model.b``.
+
+        The closed-form linear ramp is slope (m - c), which the closed-form
+        event inverts.
+        """
+        c = self.c
+        if m <= c:
             return 0.0
         if self.constant_b:
             return self.b_top
-        return self.slope * (m - self.c)
+        if self.fast:
+            return self.slope * (m - c)
+        div, M = self._div, self.M
+        q = m - c if div.family == "ramp" else M - m
+        return self._mult * (div.b_bar * (q / (M - c)) ** div.gamma)
 
     def mass_after(self, m, dt):
         """Flow endpoint X(Theta(m) + mu(S) dt); masses 0 and M stay put."""
@@ -238,68 +265,89 @@ class JumpSampler:
             return (E / D, 0.0) if D > 0.0 else (math.inf, 0.0)
         if x >= M:
             x = M * _MASS_CEIL
-        to_theta, to_mass, _ = self._coord
+        to_theta, to_mass = self._coord[:2]
         theta_x = to_theta(x)
         elapsed = 0.0
-        theta0 = theta_x
-        if x < self.c:
+        theta0, m0 = theta_x, x
+        c = self.c
+        if x < c:
             t_c = (self._theta_c - theta_x) / r
             if D > 0.0 and E <= D * t_c:
                 T = E / D
                 return T, to_mass(theta_x + r * T)
             E -= D * t_c
             elapsed = t_c
-            theta0 = self._theta_c
-        # Newton from below the root. The closed-form cumulated rate is
-        # convex and increasing, so its steps need no safeguard; a table's
-        # steps stay in a bracket [lo, hi], bisecting it where they would not.
-        theta = theta0 + r * E / (self.b_top + D)
-        table, mult = self._table, self._mult
-        if table is not None:
-            B0 = table(theta0)[0]
-            lo, hi = theta0, math.inf
-            top, _, _, d_top = table.cells[-1][:4]
-            top = max(top, theta0)
-            v_top = (mult * (table(top)[0] - B0) + D * (top - theta0)) / r
-            if v_top > E:
-                hi = top
-            elif mult * d_top + D > 0.0:   # B is linear past the top node
-                lo = theta = max(theta, top)
-            else:
+            theta0, m0 = self._theta_c, c
+        if self._table is not None:
+            theta = self._invert_table(theta0, E)
+            if theta == math.inf:
                 return math.inf, M
+        elif self.constant_b:
+            theta = theta0 + r * E / (self.b_top + D)
         else:
-            c, slope = self.c, self.slope
-            lo_m = max(x, c)
-            log_lo = (math.log(lo_m), math.log(M - lo_m))
+            # Newton on the closed form from the root of its second-order
+            # Taylor model, r0 s + r1 s^2 / 2 = r E, in s = theta - theta0
+            slope = self.slope
+            r0 = slope * (m0 - c) + D
+            r1 = slope * m0 * (1.0 - m0 / M)
+            rE = r * E
+            root = math.sqrt(r0 * r0 + 2.0 * r1 * rE)
+            theta = theta0 + 2.0 * rE / (r0 + root)
+            a, k = slope * M, D - slope * c
+            exp, log1p = math.exp, math.log1p
+            # softplus ln(1 + e^theta), one exp, stable on both tails
+            sp0 = log1p(exp(-abs(theta0))) + (theta0 if theta0 > 0.0 else 0.0)
+            tol = _EVENT_NEWTON_TOL * (1.0 + E)
+            tol_step = tol / self._remainder
+            for _ in range(200):
+                e = exp(-abs(theta))
+                if theta > 0.0:
+                    sp, m = theta + log1p(e), M / (1.0 + e)
+                else:
+                    sp, m = log1p(e), M * e / (1.0 + e)
+                err = (a * (sp - sp0) + k * (theta - theta0)) / r - E
+                if abs(err) <= tol:
+                    break
+                # the step's Newton remainder is below slope M step^2 / (8 r)
+                step = -err * r / (slope * (m - c) + D)
+                theta += step
+                if (step * step <= tol_step
+                        or abs(step) <= 1e-15 * max(1.0, abs(theta))):
+                    break
+        return elapsed + (theta - theta0) / r, min(to_mass(theta), M * _MASS_CEIL)
+
+    def _invert_table(self, theta0, E):
+        """theta at which a tabulated cumulated rate from theta0 reaches E.
+
+        Newton from below the root, its steps kept in a bracket [lo, hi]
+        and bisecting it where they would leave it; +inf when the whole
+        rate along the flow stays below E.
+        """
+        D, r = self.D, self.r
+        table, mult = self._table, self._mult
+        theta = theta0 + r * E / (self.b_top + D)
+        B0 = table(theta0)[0]
+        lo, hi = theta0, math.inf
+        top, _, _, d_top = table.cells[-1][:4]
+        top = max(top, theta0)
+        v_top = (mult * (table(top)[0] - B0) + D * (top - theta0)) / r
+        if v_top > E:
+            hi = top
+        elif mult * d_top + D > 0.0:   # B is linear past the top node
+            lo = theta = max(theta, top)
+        else:
+            return math.inf
         for _ in range(200):
-            if table is not None:
-                Bt, dB = table(theta)
-                val = (mult * (Bt - B0) + D * (theta - theta0)) / r
-                rate = mult * dB + D
-            elif self.constant_b:
-                val = (self.b_top + D) * (theta - theta0) / r
-                rate = self.b_top + D
-            else:
-                # softplus ln(1 + e^theta), stable on both tails
-                sp = (theta if theta > 35.0 else math.exp(theta) if theta < -35.0
-                      else math.log1p(math.exp(theta)))
-                log_m = self._log_M + theta - sp
-                log_Mm = self._log_M - sp
-                val = (slope / r) * (c * (log_lo[0] - log_m)
-                                     + (M - c) * (log_lo[1] - log_Mm))
-                val += D * (theta - theta0) / r
-                rate = slope * (to_mass(theta) - c) + D
-            err = val - E
+            Bt, dB = table(theta)
+            err = (mult * (Bt - B0) + D * (theta - theta0)) / r - E
             if abs(err) <= _EVENT_NEWTON_TOL * (1.0 + E):
                 break
-            if table is None:
-                step = -err * r / rate
-            else:
-                lo, hi = (theta, hi) if err < 0.0 else (lo, theta)
-                step = -err * r / rate if rate > 0.0 else math.inf
-                if not lo <= theta + step <= hi:
-                    step = 0.5 * (lo + hi) - theta
+            lo, hi = (theta, hi) if err < 0.0 else (lo, theta)
+            rate = mult * dB + D
+            step = -err * r / rate if rate > 0.0 else math.inf
+            if not lo <= theta + step <= hi:
+                step = 0.5 * (lo + hi) - theta
             theta += step
             if abs(step) <= 1e-15 * max(1.0, abs(theta)):
                 break
-        return elapsed + (theta - theta0) / r, min(to_mass(theta), M * _MASS_CEIL)
+        return theta

@@ -16,12 +16,15 @@ follows every lineage up to the last checkpoint or the horizon.
 Randomness: one Philox stream per trial, derived from the master seed by
 the counter construction SeedSequence(seed, spawn_key=(trial,)), so any
 worker can reproduce any trial and results do not depend on how trials
-are distributed over workers.
+are distributed over workers. The keys of a chunk of trials are mixed at
+once, and one Philox, pointed at a trial's key and counter at each buffer
+fill, draws every stream.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -117,29 +120,107 @@ def wilson_interval(successes, n, z=_WILSON_Z):
     return lo, hi
 
 
-class _Draws:
-    """Buffered uniforms from one Philox stream; refills in blocks."""
-
-    __slots__ = ("gen", "buf", "i")
-
-    def __init__(self, seed_seq, block=256):
-        self.gen = np.random.Generator(np.random.Philox(seed_seq))
-        self.buf = self.gen.random(block)
-        self.i = 0
-
-    def u(self):
-        i = self.i
-        buf = self.buf
-        if i >= buf.shape[0]:
-            self.buf = buf = self.gen.random(buf.shape[0])
-            i = 0
-        self.i = i + 1
-        return buf[i]
-
-
 def trial_seed(seed, trial):
     """Counter-style per-trial stream: SeedSequence(seed, spawn_key=(trial,))."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator), on uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _mixed_keys(entropy):
+    """Philox keys from SeedSequence's pool mix of uint32 entropy columns."""
+    u32 = np.uint32
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ u32(h)
+        h = h * _MULT_A & _MASK32
+        value = value * u32(h)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        out = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return out ^ (out >> u32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for i in range(_POOL):
+        for j in range(_POOL):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for word in entropy[_POOL:]:
+        for j in range(_POOL):
+            pool[j] = mix(pool[j], hashmix(word))
+    h = _INIT_B
+    state = []
+    for word in pool:     # generate_state(2, np.uint64): 4 words, 2 keys
+        word = word ^ u32(h)
+        h = h * _MULT_B & _MASK32
+        word = word * u32(h)
+        state.append((word ^ (word >> u32(16))).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def trial_keys(seed, trials):
+    """Philox keys of the trial streams, one row per trial.
+
+    Row k equals trial_seed(seed, trials[k]).generate_state(2, np.uint64),
+    the key that ``np.random.Philox(trial_seed(seed, trials[k]))`` takes;
+    SeedSequence's mix runs once over the whole array of trials.
+    """
+    t = np.asarray(trials, dtype=np.int64).reshape(-1)
+    if seed < 0 or (t.size and t.min() < 0):
+        raise ValueError("expected non-negative integer")
+    run = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        run.append(seed & _MASK32)
+        seed >>= 32
+    run += [0] * (_POOL - len(run))
+    lo, hi = (t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)
+    keys = np.empty((t.size, 2), dtype=np.uint64)
+    # a trial index below 2^32 is one entropy word, a larger one two
+    for rows, words in ((hi == 0, [lo]), (hi != 0, [lo, hi])):
+        n = int(rows.sum())
+        if n:
+            entropy = [np.full(n, w, dtype=np.uint32) for w in run]
+            keys[rows] = _mixed_keys(entropy + [w[rows] for w in words])
+    return keys
+
+
+def _trial_uniforms(seed, trials):
+    """Yield each trial's uniform source, in the order of ``trials``.
+
+    A source is a no-argument callable returning the next draw of
+    ``np.random.Generator(np.random.Philox(trial_seed(seed, trial))).random``
+    as a Python float. The keys come from ``trial_keys``, and one Philox
+    serves every trial: each buffer fill sets its key and counter.
+    """
+    bitgen = np.random.Philox(0)
+    random = np.random.Generator(bitgen).random
+
+    def stream(key):
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        counter = state["state"]["counter"]
+        n = 32    # short trials stay cheap, long ones fill 1024 at a time
+        while True:
+            bitgen.state = state
+            yield from random(n).tolist()
+            counter[0] += n // 4    # a Philox block holds 4 uniforms
+            n = min(2 * n, 1024)
+
+    for key in trial_keys(seed, trials).tolist():
+        yield stream(key).__next__
 
 
 def _make_fraction_sampler(kernel):
@@ -173,8 +254,8 @@ def _make_fraction_sampler(kernel):
     return sample
 
 
-def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
-    """Depth-first trial over lineages.
+def _run_trial(sampler, fraction_of, x0, limits, u, log=None, visit=None):
+    """Depth-first trial over lineages; ``u()`` draws the next uniform.
 
     A lineage whose next event falls at or past the time horizon is alive
     at the horizon and stops the trial as survival; with no horizon that
@@ -191,7 +272,6 @@ def _run_trial(sampler, fraction_of, x0, limits, draws, log=None, visit=None):
     horizon = _INF if limits.time_horizon is None else limits.time_horizon
     event = sampler.event
     brate = sampler.b
-    u = draws.u
     log1p = math.log1p
     stack = [(x0, 0, 0.0, 0)]
     push = stack.append
@@ -267,8 +347,9 @@ def simulate(model, S, D, x0, limits=None, seed=0, trial=0, sampler=None,
         limits = SimulationLimits()
     if sampler is None:
         sampler = JumpSampler(model, S, D)
+    u = next(_trial_uniforms(seed, [trial]))
     out = _run_trial(sampler, _make_fraction_sampler(model.kernel), x0, limits,
-                     _Draws(trial_seed(seed, trial)), log)
+                     u, log)
     if log is not None:
         log.sort(key=lambda rec: rec[0])
     return out
@@ -280,9 +361,8 @@ def _survival_chunk(args):
     fraction_of = _make_fraction_sampler(model.kernel)
     survived = 0
     censored = {}
-    for trial in range(start, stop):
-        out = _run_trial(sampler, fraction_of, x0, limits,
-                         _Draws(trial_seed(seed, trial)))
+    for u in _trial_uniforms(seed, range(start, stop)):
+        out = _run_trial(sampler, fraction_of, x0, limits, u)
         if out.survived:
             survived += 1
             censored[out.reason] = censored.get(out.reason, 0) + 1
@@ -290,12 +370,15 @@ def _survival_chunk(args):
 
 
 def estimate_survival(model, S, D, x0, n_trials, limits=None, seed=0,
-                      workers=1):
+                      workers=1, pool=None):
     """Monte Carlo survival probability with a Wilson 95% interval.
 
     Censored trials (any limit reached) count as survivals and their
     reasons are tallied in ``censored``. The result is identical for any
     worker count because every trial owns stream (seed, trial index).
+    Chunks of trials run on ``pool``, an executor the caller keeps open
+    across calls, or else on a pool of ``workers`` processes started here
+    when ``workers`` > 1.
     """
     if limits is None:
         limits = SimulationLimits()
@@ -307,11 +390,12 @@ def estimate_survival(model, S, D, x0, n_trials, limits=None, seed=0,
             chunks.append((model, S, D, x0, limits, seed, int(a), int(b)))
     survived = 0
     censored = {}
-    if workers > 1 and len(chunks) > 1:
+    if pool is None and workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_survival_chunk, chunks))
     else:
-        results = [_survival_chunk(c) for c in chunks]
+        results = list((map if pool is None else pool.map)(_survival_chunk,
+                                                           chunks))
     for s, cens in results:
         survived += s
         for key, cnt in cens.items():
@@ -330,9 +414,11 @@ def martingale_check(model, S, D, x0, solution, checkpoints, n_trials,
     ``solution`` provides the eigenvalue and the adjoint weight v (from
     a spectral solve). Each trial walks every lineage up to the last
     checkpoint; a cell born at tb with event at te contributes v(mass at
-    c) to every checkpoint c in [tb, te). Returns studentized deviations
-    from v(x0) per checkpoint; a trial that needs more than
-    ``max_events`` events raises RuntimeError.
+    c) to every checkpoint c in [tb, te). The walks collect (trial,
+    checkpoint, mass); v is interpolated once and summed per trial and
+    checkpoint in walk order. Returns studentized deviations from v(x0)
+    per checkpoint; a trial that needs more than ``max_events`` events
+    raises RuntimeError.
     """
     lam = solution.eigenvalue
     grid_x = solution.grid.x
@@ -344,23 +430,27 @@ def martingale_check(model, S, D, x0, solution, checkpoints, n_trials,
                               time_horizon=float(cps[-1]),
                               max_events=max_events)
     n_cp = cps.size
-    sums = np.zeros((n_trials, n_cp))
+    cells, masses = array("q"), array("d")   # trial * n_cp + checkpoint, mass
+    mass_after = sampler.mass_after
 
     def visit(m, tb, te):
-        for k in range(n_cp):
-            c = cps[k]
+        for k, c in enumerate(cp_list):
             if c < tb:
                 continue
             if c >= te:
                 break
-            acc[k] += np.interp(sampler.mass_after(m, c - tb), grid_x, vvals)
+            cells.append(row + k)
+            masses.append(mass_after(m, c - tb))
 
-    for trial in range(n_trials):
-        acc = sums[trial]
-        out = _run_trial(sampler, fraction_of, x0, limits,
-                         _Draws(trial_seed(seed, trial)), visit=visit)
+    cp_list = cps.tolist()
+    for trial, u in enumerate(_trial_uniforms(seed, range(n_trials))):
+        row = trial * n_cp
+        out = _run_trial(sampler, fraction_of, x0, limits, u, visit=visit)
         if out.reason == "event_budget":
             raise RuntimeError("martingale trial exceeded the event budget")
+    sums = np.zeros((n_trials, n_cp))
+    np.add.at(sums.reshape(-1), np.frombuffer(cells, dtype=np.int64),
+              np.interp(np.frombuffer(masses), grid_x, vvals))
     weights = np.exp(-lam * cps)
     stats = sums * weights[None, :]
     target = float(np.interp(x0, grid_x, vvals))

@@ -149,6 +149,63 @@ def test_event_time_immortal_when_total_rate_finite():
     assert mass == pytest.approx(1.0)
 
 
+def closed_form_rate(model, S, D, x, T):
+    """Cumulated rate of the linear ramp over [0, T] from x, in theta.
+
+    With b = slope (m - c) above c and logistic growth, int (m - c) dtheta
+    is M softplus(theta) - c theta, and theta moves at speed mu(S).
+    """
+    M, c = model.max_mass, model.division.m_div
+    r = float(model.growth.mu(S))
+    b_top = model.division.b_bar * float(model.division.multiplier(S))
+    slope = b_top / (M - c)
+
+    def softplus(t):
+        return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+
+    def logit(m):
+        return math.log(m) - math.log(M - m)
+
+    lo, hi = logit(max(x, c)), logit(x) + r * T
+    if hi <= lo:
+        return D * T
+    ramp = M * (softplus(hi) - softplus(lo)) - c * (hi - lo)
+    return D * T + slope * ramp / r
+
+
+def test_closed_form_event_residual():
+    model = benchmarks.logramp_model()    # ramp above m_div = 0.2
+    xs = (0.01, 0.15, 0.2, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-15)
+    for S, D in ((0.25, 0.3), (2.0, 0.6), (32.0, 1.5), (1.0, 0.0)):
+        sampler = JumpSampler(model, S, D)
+        assert sampler.fast and not sampler.constant_b
+        for x in xs:
+            # near M a tiny E can round theta, and T, to no change at all
+            for E in np.logspace(-14, math.log10(40.0), 33).tolist():
+                T, m = sampler.event(x, E)
+                assert 0.0 <= T < math.inf and x - 1e-15 <= m < 1.0
+                val = closed_form_rate(model, S, D, x, T)
+                assert abs(val - E) <= 1e-12 * (1.0 + E), (S, D, x, E)
+
+
+@pytest.mark.parametrize("family, gamma", [
+    ("ramp", 0.0), ("ramp", 0.5), ("ramp", 2.0), ("ramp_down", 1.0),
+    ("ramp_down", 0.5)])
+def test_scalar_rate_matches_model(family, gamma):
+    lr = benchmarks.logramp_model()
+    model = replace(lr, division=replace(lr.division, family=family,
+                                         gamma=gamma, s_multiplier="monod"))
+    c = model.division.m_div
+    xs = np.random.default_rng(5).uniform(0.0, 1.0, 2000).tolist()
+    xs += [0.0, c, math.nextafter(c, 1.0), math.nextafter(1.0, 0.0), 1.0]
+    for S in (0.5, 3.0):
+        sampler = JumpSampler(model, S, 0.3)
+        assert not sampler.fast
+        for x in xs:
+            got = sampler.b(x)
+            assert type(got) is float and got == float(model.b(S, x)), x
+
+
 def test_jump_sampler_fast_path_active(model):
     assert JumpSampler(model, 1.0, 1.0).fast
     assert JumpSampler(benchmarks.logramp_model(), 1.0, 1.0).fast

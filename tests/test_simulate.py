@@ -9,8 +9,9 @@ from gfdlab import benchmarks
 from gfdlab.config import DivisionRateModel, GrowthModel, ModelDefinition
 from gfdlab.kernels import DivisionKernel
 from gfdlab.flow import JumpSampler
-from gfdlab.simulate import (SimulationLimits, _Draws, _make_fraction_sampler,
-                             estimate_survival, martingale_check, simulate,
+from gfdlab.simulate import (SimulationLimits, _make_fraction_sampler,
+                             _trial_uniforms, estimate_survival,
+                             martingale_check, simulate, trial_keys,
                              trial_seed, wilson_interval)
 from gfdlab.spectral import principal_eigenpair
 
@@ -46,6 +47,37 @@ def test_trial_seed_streams_differ():
     assert np.allclose(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 41, 2**32 + 3, 2**130 + 5])
+def test_trial_keys_match_seed_sequence(seed):
+    trials = [0, 1, 7, 10**6, 2**32 - 1, 2**32, 2**40 + 9]
+    keys = trial_keys(seed, trials)
+    assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+    for trial, key in zip(trials, keys):
+        assert key.tolist() == trial_seed(seed, trial).generate_state(
+            2, np.uint64).tolist()
+    with pytest.raises(ValueError):
+        trial_keys(seed, [3, -1])
+    with pytest.raises(ValueError):
+        trial_keys(-1, [0])
+
+
+@pytest.mark.parametrize("seed", [0, 41, 2**32 + 3])
+def test_trial_streams_match_numpy(seed):
+    # the sources share one Philox; drawing from them in turn crosses
+    # every buffer refill (fills of 32, 32, 64, ..., 1024 uniforms)
+    trials = [0, 7, 10**6]
+    sources = list(_trial_uniforms(seed, trials))
+    got = [[], [], []]
+    for _ in range(3000):
+        for k, u in enumerate(sources):
+            got[k].append(u())
+    for trial, draws in zip(trials, got):
+        expected = np.random.Generator(
+            np.random.Philox(trial_seed(seed, trial))).random(3000)
+        assert draws == expected.tolist()
+        assert all(type(v) is float for v in draws)
+
+
 def test_first_event_distribution(model):
     # constant total rate b + D = 3: the first event time is Exp(3) and a
     # division (the trial's survival at gen_limit=1) has chance 2/3
@@ -72,6 +104,23 @@ def test_estimate_deterministic_and_worker_independent(model):
     assert one.estimate == three.estimate
     assert one.n_survived == three.n_survived
     assert one.censored == three.censored
+
+
+@pytest.mark.parametrize("S, D, gen_limit, seed, n, survived", [
+    (1.0, 0.6, 200, 10, 400, 42),
+    (2.0, 0.6, 200, 14, 400, 166),
+    (16.0, 1.0, 1600, 27, 100, 1),
+])
+def test_logramp_counts_pinned(S, D, gen_limit, seed, n, survived):
+    # cells of the LOGRAMP sweep at seed 1, where cell k has seed 1 + k;
+    # the counts only move if the streams or the sampled events do. The
+    # near-critical S=16 D=1.0 cell walks one trial of about 140k events
+    model = benchmarks.logramp_model()
+    est = estimate_survival(model, S, D, 0.5, n, seed=seed,
+                            limits=SimulationLimits(gen_limit=gen_limit,
+                                                    pop_cap=10_000))
+    assert est.n_survived == survived
+    assert est.censored == {"generation_limit": survived}
 
 
 def test_supercritical_interval_contains_oracle(model):
@@ -197,7 +246,7 @@ def events_before(model, S, D, x0, horizon, seed, trial):
     walk on the trial's stream that drops each lineage past the horizon."""
     sampler = JumpSampler(model, S, D)
     fraction_of = _make_fraction_sampler(model.kernel)
-    u = _Draws(trial_seed(seed, trial)).u
+    u = np.random.Generator(np.random.Philox(trial_seed(seed, trial))).random
     stack, next_id, log = [(x0, 0.0, 0)], 1, []
     while stack:
         m, tb, ident = stack.pop()
