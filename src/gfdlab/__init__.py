@@ -18,12 +18,12 @@ from .extinction import (ExtinctionProfile, MassGrid, fixed_point_residual,
                          generation_curve, solve_extinction)
 from .flow import JumpSampler, cumulative_rate, flow, hitting_time
 from .kernels import (CouplingReport, DivisionKernel, check_coupling,
-                      monotone_integral, support_quadrature)
+                      monotone_integral)
 from .simulate import (MartingaleReport, SimulationLimits, SimulationOutcome,
                        SurvivalEstimate, estimate_survival, martingale_check,
                        simulate, wilson_interval)
-from .spectral import (OperatorMatrix, SpectralSolution, assemble_adjoint,
-                       assemble_operator, eigen_residual, principal_eigenpair)
+from .spectral import (SpectralSolution, assemble_adjoint, assemble_operator,
+                       eigen_residual, principal_eigenpair)
 from . import benchmarks
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ import os
 import struct
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +30,8 @@ from . import benchmarks
 from .config import (ConfigError, config_hash, load_config,
                      validate_assumptions)
 from .extinction import fixed_point_residual, generation_curve
-from .simulate import SimulationLimits, estimate_survival, martingale_check, simulate
+from .simulate import (SimulationLimits, estimate_survival, martingale_check,
+                       simulate, _worker_pool)
 from .spectral import principal_eigenpair
 
 log = logging.getLogger("gfdlab")
@@ -232,7 +232,7 @@ def run_sweep(config, out_dir=None, workers=None):
         csv_fh.flush()
 
     # one pool of MC workers serves every cell
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = _worker_pool(workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         for cell, (S, D) in enumerate((S, D) for S in env.s_values
                                       for D in env.d_values):

@@ -518,7 +518,7 @@ def validate_assumptions(model, env, probe_n=64):
         v = rep.first_violation
         loc = f"{v['form']} at x={v['x']:.6g}, u={v['u']:.6g}"
     checks.append(AssumptionCheck(
-        "kernel_coupling_two_point", rep.two_point_ok,
+        "kernel_coupling_two_point", rep.passed,
         location=loc, note="; ".join(rep.notes)))
     checks.append(AssumptionCheck(
         "kernel_coupling_differential", rep.differential_ok,

@@ -172,22 +172,27 @@ class _Stepper(_Daughters):
         rate = self.b + D
         c = h * rate / g
         cum = np.cumsum(c)
-        # exponent from x_i (cell midpoint) to the right edge of cell j >= i
-        expo = 0.5 * c[:, None] + (cum[None, :] - cum[:, None])
+        # Survival factor W from x_i (cell midpoint) to the right edge of
+        # cell j >= i, built in place so that at most two n x n arrays
+        # are alive; below the diagonal exp overflows and is then zeroed
+        W = cum[None, :] - cum[:, None]
+        W += 0.5 * c[:, None]
+        np.negative(W, out=W)
         with np.errstate(over="ignore"):
-            W = np.exp(-np.triu(expo))
-        W = np.triu(W)
+            np.exp(W, out=W)
+        W[np.tri(grid.n, k=-1, dtype=bool)] = 0.0
         # The right edge of the last cell is M itself, where g vanishes.
         # With b + D positive there the exponent integral diverges, so the
         # survival factor to M is exactly zero; the truncated cumulative
         # sum would instead leak O(h) event probability out of the domain.
         if float(np.asarray(model.b(S, grid.max_mass))) + D > 0.0:
             W[:, -1] = 0.0
-        delta = np.zeros_like(W)
-        delta[:, 1:] = W[:, :-1] - W[:, 1:]
+        # the drop of W across cell j; zero below the diagonal, as W is
+        self.weights = np.empty_like(W)
+        self.weights[:, 0] = 0.0
+        np.subtract(W[:, :-1], W[:, 1:], out=self.weights[:, 1:])
         idx = np.arange(grid.n)
-        delta[idx, idx] = 1.0 - W[idx, idx]
-        self.weights = np.triu(delta)
+        self.weights[idx, idx] = 1.0 - W[idx, idx]
         with np.errstate(invalid="ignore", divide="ignore"):
             self.death_frac = np.where(rate > 0, D / rate, 0.0)
             self.birth_frac = np.where(rate > 0, self.b / rate, 0.0)

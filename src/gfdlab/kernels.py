@@ -154,36 +154,14 @@ class DivisionKernel:
         return self.inverse_cdf(x, u)
 
 
-def support_quadrature(kernel, x, n_nodes=N_ALPHA_NODES):
-    """Nodes and weights for integrals of q(x, .) times a test function.
-
-    Returns (alpha, w) with sum(w) = 1 exactly: w is the composite-Simpson
-    weight times the density, rescaled by the quadrature's own estimate of
-    the normalization. For the degenerate kernel this is a single node at
-    1/2 with weight 1. Integrals of f against q are then ``w @ f(alpha)``.
-    """
-    if kernel.is_degenerate:
-        return np.array([0.5]), np.array([1.0])
-    if n_nodes % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count")
-    lo, hi = kernel.support(x)
-    alpha = np.linspace(lo, hi, n_nodes)
-    step = (hi - lo) / (n_nodes - 1)
-    w = np.full(n_nodes, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w = w * (step / 3.0)
-    wq = w * kernel.density(x, alpha)
-    total = wq.sum()
-    if total <= 0.0:
-        raise ValueError("kernel density vanished on its own support")
-    return alpha, wq / total
-
-
 def support_quadrature_batch(kernel, x, n_nodes=N_ALPHA_NODES):
-    """Vectorized ``support_quadrature`` over a 1-d array of masses.
+    """Nodes and weights for integrals of q(x, .) over a 1-d array of masses.
 
-    Returns (alpha, w) of shape (len(x), n_nodes), rows normalized to 1.
+    Returns (alpha, w) of shape (len(x), n_nodes). Row i holds the
+    composite-Simpson weights times the density q(x_i, .), rescaled by
+    the quadrature's own estimate of the normalization so that it sums
+    to 1; integrals of f against q(x_i, .) are then ``w[i] @ f(alpha[i])``.
+    The degenerate kernel has a single node at 1/2 with weight 1.
     """
     x = np.asarray(x, dtype=float)
     if kernel.is_degenerate:
@@ -231,18 +209,11 @@ class CouplingReport:
     ``passed`` follows the two-point mass-level property actually used by
     the monotonicity arguments: for x <= y and every quantile level u,
     x F_x^{-1}(u) <= y F_y^{-1}(u) and x (1 - F_x^{-1}(u)) <= y (1 - F_y^{-1}(u)).
-    The literal textbook form (with 1 - x/M in place of x on the second
-    product) and the differential criterion are evaluated and reported
-    separately; the literal form fails even for constant margins and is
-    informational only.
+    The differential criterion is evaluated and reported separately.
     """
 
     passed: bool
-    two_point_ok: bool
-    literal_ok: bool
     differential_ok: bool
-    n_pairs: int
-    n_levels: int
     first_violation: dict | None = None
     notes: list = field(default_factory=list)
 
@@ -292,10 +263,6 @@ def check_coupling(kernel, x_grid=None, u_grid=None, fd_step=1e-6):
 
     viol_low = first_bad(x_grid[:, None] * finv, "two_point_low_daughter")
     viol_high = first_bad(x_grid[:, None] * (1.0 - finv), "two_point_high_daughter")
-    two_point_ok = viol_low is None and viol_high is None
-
-    viol_lit = first_bad((1.0 - x_grid[:, None] / M) * finv, "literal_second_product")
-    literal_ok = viol_low is None and viol_lit is None
 
     # differential form: x dF^{-1}/dx must stay within [-F^{-1}, 1 - F^{-1}]
     h = np.maximum(fd_step * M, fd_step * x_grid)
@@ -329,12 +296,8 @@ def check_coupling(kernel, x_grid=None, u_grid=None, fd_step=1e-6):
             f"margin criterion l + x l' in [{crit.min():.6g}, {crit.max():.6g}]")
 
     return CouplingReport(
-        passed=two_point_ok,
-        two_point_ok=two_point_ok,
-        literal_ok=literal_ok,
+        passed=viol_low is None and viol_high is None,
         differential_ok=differential_ok,
-        n_pairs=len(x_grid) - 1,
-        n_levels=len(u_grid),
         first_violation=first,
         notes=notes,
     )

@@ -24,6 +24,7 @@ fill, draws every stream.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -369,6 +370,17 @@ def _survival_chunk(args):
     return survived, censored
 
 
+def _worker_pool(workers):
+    """A process pool of ``workers``, capped at the CPUs this process may use.
+
+    The count comes from outside (``--threads``, ``GFDLAB_THREADS``,
+    ``[simulation] workers``), and the pool forks a worker for each chunk
+    submitted while none is idle. Counts do not depend on the cap.
+    """
+    return ProcessPoolExecutor(
+        max_workers=min(workers, len(os.sched_getaffinity(0))))
+
+
 def estimate_survival(model, S, D, x0, n_trials, limits=None, seed=0,
                       workers=1, pool=None):
     """Monte Carlo survival probability with a Wilson 95% interval.
@@ -391,7 +403,7 @@ def estimate_survival(model, S, D, x0, n_trials, limits=None, seed=0,
     survived = 0
     censored = {}
     if pool is None and workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             results = list(pool.map(_survival_chunk, chunks))
     else:
         results = list((map if pool is None else pool.map)(_survival_chunk,

@@ -20,24 +20,13 @@ iteration on it finds the Perron pair in steps that do not grow with n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .extinction import MassGrid
+from .extinction import MassGrid, _interp_matrix
 from .kernels import support_quadrature_batch
-
-
-@dataclass
-class OperatorMatrix:
-    matrix: np.ndarray
-    grid: MassGrid
-    S: float
-    D: float
-    kind: str                       # "primal" or "adjoint"
-    renorm: np.ndarray | None = None
-    notes: list = field(default_factory=list)
 
 
 @dataclass
@@ -60,7 +49,6 @@ class SpectralSolution:
     iterations: int
     converged: bool
     shift: float
-    lambda_plus_D_positive: bool
 
     def to_csv(self, path, extra=None):
         with open(path, "w") as fh:
@@ -76,13 +64,14 @@ class SpectralSolution:
                 fh.write(f"{float(xi)!r},{float(ui)!r},{float(vi)!r}\n")
 
 
-def assemble_operator(model, S, D, grid, degenerate_stencil=True):
+def assemble_operator(model, S, D, grid):
     """Dense matrix of the generator on the midpoint grid.
 
     Fragmentation columns are rescaled so the discrete daughter count of
-    column j is exactly 2 b_j; the factors are recorded in ``renorm``.
-    Columns whose kernel support falls entirely below the first cell
-    deposit both daughters into that cell.
+    column j is exactly 2 b_j. Columns whose kernel support falls
+    entirely below the first cell deposit both daughters into that cell.
+    Equal mitosis puts both daughters at x_j / 2 with the linear
+    interpolation stencil of the extinction recursion.
     """
     n, h, x = grid.n, grid.h, grid.x
     b = np.asarray(model.b(S, x), dtype=float)
@@ -97,22 +86,15 @@ def assemble_operator(model, S, D, grid, degenerate_stencil=True):
     A[idx[1:], idx[:-1]] += g_edge[1:-1] / h
     A[idx, idx] -= D + b
 
-    renorm = np.full(n, np.nan)
-    notes = []
     divider = b > 0.0
     if np.any(divider):
-        if model.kernel.is_degenerate and degenerate_stencil:
-            # point kernel: both daughters at x_j / 2, linear deposit
-            pos = (x / 2.0) / h - 0.5
-            i0 = np.floor(pos).astype(int)
-            theta = pos - i0
-            theta = np.where(i0 < 0, 0.0, theta)
-            i0 = np.clip(i0, 0, n - 1)
-            i1 = np.clip(i0 + 1, 0, n - 1)
-            for j in np.nonzero(divider)[0]:
-                A[i0[j], j] += 2.0 * b[j] * (1.0 - theta[j])
-                A[i1[j], j] += 2.0 * b[j] * theta[j]
-            renorm[divider] = 1.0
+        if model.kernel.is_degenerate:
+            # point kernel: both daughters of column j land at x_j / 2,
+            # spread by row j of the interpolation stencil
+            half = _interp_matrix(x / 2.0, x).tocoo()
+            keep = divider[half.row]
+            i, j = half.col[keep], half.row[keep]
+            A[i, j] += 2.0 * b[j] * half.data[keep]
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 alpha = x[:, None] / x[None, :]
@@ -121,21 +103,14 @@ def assemble_operator(model, S, D, grid, degenerate_stencil=True):
             qv = model.kernel.density(
                 np.broadcast_to(x[None, :], (n, n))[strict], alpha[strict])
             q[strict] = qv
-            sigma = (h / x[None, :]) * q
-            col_mass = sigma.sum(axis=0)
             for j in np.nonzero(divider)[0]:
-                if col_mass[j] > 0.0:
+                mass = q[:, j].sum()
+                if mass > 0.0:
                     # column sum is exactly 2 b_j: two daughters per division
-                    A[:, j] += 2.0 * b[j] * q[:, j] / q[:, j].sum()
-                    renorm[j] = 1.0 / col_mass[j]
+                    A[:, j] += 2.0 * b[j] * q[:, j] / mass
                 else:
                     A[0, j] += 2.0 * b[j]
-            low = divider & (col_mass <= 0.0)
-            if np.any(low):
-                notes.append(f"{int(low.sum())} columns with sub-grid "
-                             "daughters deposited into the first cell")
-    return OperatorMatrix(matrix=A, grid=grid, S=S, D=D, kind="primal",
-                          renorm=renorm, notes=notes)
+    return A
 
 
 def assemble_adjoint(model, S, D, grid, alpha_nodes=129):
@@ -171,21 +146,18 @@ def assemble_adjoint(model, S, D, grid, alpha_nodes=129):
         rows = np.broadcast_to(divider[:, None], i0.shape)
         np.add.at(B, (rows.ravel(), i0.ravel()), (scale * (1.0 - theta)).ravel())
         np.add.at(B, (rows.ravel(), i1.ravel()), (scale * theta).ravel())
-    return OperatorMatrix(matrix=B, grid=grid, S=S, D=D, kind="adjoint")
+    return B
 
 
-def eigen_residual(op, eigenvalue, u, v=None):
+def eigen_residual(A, eigenvalue, u, v):
     """Sup-norm defects of the eigenpair against an assembled matrix.
 
     Each defect |A w - lam w| is scaled by max|w| so the measure does
     not depend on how the vector is normalized (the stored density u
     can peak like 1/g near M, which would make a raw norm unreadable).
     """
-    A = op.matrix
     u = np.asarray(u, dtype=float)
     rp = float(np.max(np.abs(A @ u - eigenvalue * u)) / np.max(np.abs(u)))
-    if v is None:
-        return rp
     v = np.asarray(v, dtype=float)
     ra = float(np.max(np.abs(A.T @ v - eigenvalue * v)) / np.max(np.abs(v)))
     return rp, ra
@@ -209,8 +181,7 @@ def principal_eigenpair(model, S, D, grid_n=512, tol=1e-10, max_iter=200000,
     """
     if grid is None:
         grid = MassGrid(grid_n, model.max_mass)
-    op = assemble_operator(model, S, D, grid)
-    A = op.matrix
+    A = assemble_operator(model, S, D, grid)
     shift = float(np.max(A.sum(axis=0))) + 1.0
     work = np.negative(A, order="F")
     work.flat[::grid.n + 1] += shift
@@ -239,10 +210,9 @@ def principal_eigenpair(model, S, D, grid_n=512, tol=1e-10, max_iter=200000,
     v = np.maximum(v, 0.0)
     v /= (u * v).sum() * h
     lam = float(v @ (A @ u)) / float(v @ u)
-    rp, ra = eigen_residual(op, lam, u, v)
+    rp, ra = eigen_residual(A, lam, u, v)
     return SpectralSolution(
         eigenvalue=lam, u=u, v=v, grid=grid, S=S, D=D,
         residual_primal=rp, residual_adjoint=ra,
         iterations=iterations, converged=converged, shift=shift,
-        lambda_plus_D_positive=bool(lam + D > 0.0),
     )

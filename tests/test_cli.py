@@ -1,7 +1,9 @@
 """Command line driver: sweeps, checks, precedence, exit codes."""
 
 import copy
+import importlib
 import logging
+import os
 import struct
 from dataclasses import replace
 
@@ -213,6 +215,52 @@ def test_config_from_env(monkeypatch, capsys):
     monkeypatch.setenv("GFDLAB_TRIALS", "40")
     assert main(["simulate"]) == 0
     assert "survival=" in capsys.readouterr().out
+
+
+class _SerialPool:
+    """Stands in for the process pool: records its size, maps in process."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    # a host that lets this process use two CPUs; no process is started
+    simulate_module = importlib.import_module("gfdlab.simulate")
+    sizes = []
+    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(max_workers, sizes))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return sizes
+
+
+def test_simulate_threads_capped_at_usable_cpus(pool_sizes, capsys):
+    args = ["simulate", "--config", "builtin:CONSTANT", "--trials", "40"]
+    assert main(args + ["--threads", "5000"]) == 0
+    assert pool_sizes == [2]
+    capped = capsys.readouterr().out
+    assert main(args + ["--threads", "1"]) == 0
+    assert capsys.readouterr().out == capped
+
+
+def test_sweep_workers_capped_at_usable_cpus(pool_sizes):
+    # few trials, so that an uncapped pool could start only a few workers
+    cfg = small_config(trials=8)
+    capped = run_sweep(cfg, workers=5000)
+    assert pool_sizes == [2]
+    serial = run_sweep(cfg, workers=1)
+    assert ([cli._row_csv(r) for r in capped.rows]
+            == [cli._row_csv(r) for r in serial.rows])
 
 
 def test_sweep_command_and_unconverged_exit(tmp_path, capsys):

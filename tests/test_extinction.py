@@ -1,5 +1,6 @@
 """Generation recursion and its fixed point against branching oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,42 @@ def test_interp_matrix_follows_np_interp():
     p = np.sin(3.0 * x) + x ** 2
     assert np.max(np.abs(_interp_matrix(q, x) @ p
                          - np.interp(q, x, p))) < 1e-15
+
+
+def _dense_weights(model, S, D, grid):
+    """The stepper's weights by the dense formula, one n x n copy per step."""
+    x, h = grid.x, grid.h
+    rate = np.asarray(model.b(S, x), dtype=float) + D
+    c = h * rate / np.asarray(model.g(S, x), dtype=float)
+    cum = np.cumsum(c)
+    expo = 0.5 * c[:, None] + (cum[None, :] - cum[:, None])
+    W = np.triu(np.exp(-np.triu(expo)))
+    if float(np.asarray(model.b(S, grid.max_mass))) + D > 0.0:
+        W[:, -1] = 0.0
+    delta = np.zeros_like(W)
+    delta[:, 1:] = W[:, :-1] - W[:, 1:]
+    idx = np.arange(grid.n)
+    delta[idx, idx] = 1.0 - W[idx, idx]
+    return np.triu(delta)
+
+
+@pytest.mark.parametrize("make, S, D", [
+    (benchmarks.constant_rate_model, 1.0, 1.0),
+    (benchmarks.logramp_model, 2.0, 0.6),
+    (benchmarks.logramp_model, 16.0, 1.0),
+])
+def test_stepper_weights_built_in_two_arrays(make, S, D):
+    m = make()
+    grid = MassGrid(512, m.max_mass)
+    _Stepper(m, S, D, grid)            # the cached daughter tables
+    tracemalloc.start()
+    try:
+        stepper = _Stepper(m, S, D, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stepper.weights, _dense_weights(m, S, D, grid))
+    assert peak < 2.5 * grid.n ** 2 * 8
 
 
 def test_daughter_tables_shared_across_cells():

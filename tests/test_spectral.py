@@ -64,9 +64,9 @@ def test_eigen_residual_scale_invariant(constant_solution):
 def test_shift_identity_matrix_level():
     m = benchmarks.logramp_model()
     grid = MassGrid(128, 1.0)
-    base = assemble_operator(m, 1.0, 0.6, grid).matrix
+    base = assemble_operator(m, 1.0, 0.6, grid)
     for delta in (0.1, 1.0):
-        shifted = assemble_operator(m, 1.0, 0.6 + delta, grid).matrix
+        shifted = assemble_operator(m, 1.0, 0.6 + delta, grid)
         gap = np.max(np.abs(shifted - (base - delta * np.eye(128))))
         assert gap < 1e-14
 
@@ -80,7 +80,7 @@ def test_shift_identity_through_solver():
 
 def test_operator_is_metzler(logramp_solution):
     m, _ = logramp_solution
-    A = assemble_operator(m, 2.0, 0.6, MassGrid(128, 1.0)).matrix
+    A = assemble_operator(m, 2.0, 0.6, MassGrid(128, 1.0))
     off = A - np.diag(np.diag(A))
     assert float(off.min()) >= 0.0
 
@@ -91,7 +91,7 @@ def test_column_sums_give_birth_minus_death():
     m = benchmarks.logramp_model()
     grid = MassGrid(128, 1.0)
     S, D = 2.0, 0.6
-    A = assemble_operator(m, S, D, grid).matrix
+    A = assemble_operator(m, S, D, grid)
     b = np.asarray(m.b(S, grid.x), dtype=float)
     assert float(np.max(np.abs(A.sum(axis=0) - (b - D)))) < 1e-10
 
@@ -100,7 +100,7 @@ def test_adjoint_rows_give_birth_minus_death():
     m = benchmarks.logramp_model()
     grid = MassGrid(128, 1.0)
     S, D = 2.0, 0.6
-    B = assemble_adjoint(m, S, D, grid).matrix
+    B = assemble_adjoint(m, S, D, grid)
     b = np.asarray(m.b(S, grid.x), dtype=float)
     assert float(np.max(np.abs(B @ np.ones(128) - (b - D)))) < 1e-10
 
@@ -108,7 +108,7 @@ def test_adjoint_rows_give_birth_minus_death():
 def test_adjoint_eigenvalue_agrees():
     m = benchmarks.logramp_model()
     grid = MassGrid(256, 1.0)
-    B = assemble_adjoint(m, 2.0, 0.6, grid).matrix
+    B = assemble_adjoint(m, 2.0, 0.6, grid)
     lam_adj = float(np.max(np.linalg.eigvals(B).real))
     lam = principal_eigenpair(m, 2.0, 0.6, grid_n=256).eigenvalue
     assert lam_adj == pytest.approx(lam, abs=5e-3)
@@ -122,6 +122,31 @@ def test_equal_mitosis_assembly():
     sol = principal_eigenpair(m, 1.0, 1.0, grid_n=256)
     assert sol.converged
     assert abs(sol.eigenvalue - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("make", [benchmarks.constant_rate_model,
+                                  benchmarks.logramp_model])
+def test_equal_mitosis_daughters_land_at_half_mass(make):
+    # the column sums fix Lambda wherever the daughters land; the first
+    # moment also pins them at x_j / 2 where that is inside the grid
+    from dataclasses import replace
+    from gfdlab.kernels import DivisionKernel
+    m = replace(make(), kernel=DivisionKernel(family="equal_mitosis"))
+    S, D = 2.0, 0.6
+    grid = MassGrid(128, m.max_mass)
+    n, h, x = grid.n, grid.h, grid.x
+    A = assemble_operator(m, S, D, grid)
+    b = np.asarray(m.b(S, x), dtype=float)
+    g = np.asarray(m.g(S, np.arange(n + 1) * h), dtype=float)
+    g[[0, -1]] = 0.0
+    frag = A - (np.diag(-g[1:] / h - (D + b)) + np.diag(g[1:-1] / h, -1))
+    divider = b > 0.0
+    assert np.allclose(frag.sum(axis=0)[divider], 2.0 * b[divider],
+                       rtol=1e-12, atol=0.0)
+    inside = divider & (x / 2.0 >= x[0])
+    assert np.count_nonzero(inside) >= n // 2
+    assert np.allclose((x @ frag)[inside], (b * x)[inside],
+                       rtol=1e-12, atol=0.0)
 
 
 def test_lambda_monotone_in_resource():
@@ -150,7 +175,7 @@ def test_iterations_do_not_grow_with_grid():
 def test_shift_bounds_eigenvalue():
     m = benchmarks.logramp_model()
     sol = principal_eigenpair(m, 2.0, 0.6, grid_n=128)
-    A = assemble_operator(m, 2.0, 0.6, sol.grid).matrix
+    A = assemble_operator(m, 2.0, 0.6, sol.grid)
     assert sol.shift > sol.eigenvalue
     assert sol.shift >= float(np.max(A.sum(axis=0)))
 
@@ -158,7 +183,7 @@ def test_shift_bounds_eigenvalue():
 def test_eigenvalue_matches_dense_eigensolver():
     m = benchmarks.logramp_model()
     sol = principal_eigenpair(m, 2.0, 0.6, grid_n=128)
-    A = assemble_operator(m, 2.0, 0.6, sol.grid).matrix
+    A = assemble_operator(m, 2.0, 0.6, sol.grid)
     lam_dense = float(np.max(np.linalg.eigvals(A).real))
     assert sol.eigenvalue == pytest.approx(lam_dense, abs=1e-9)
 
