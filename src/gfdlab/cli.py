@@ -159,8 +159,8 @@ def _sweep_cell(model, solver, sim, S, D, x0, seed, workers, pool):
     t0 = time.perf_counter()
     prof, curve = generation_curve(
         model, S, D, x0, CENSOR_LADDER, grid_n=solver.grid_n,
-        tol=solver.extinction_tol, max_generations=solver.max_generations,
-        alpha_nodes=solver.alpha_nodes, stop_gap=CENSOR_BIAS_TOL)
+        tol=solver.extinction_tol, alpha_nodes=solver.alpha_nodes,
+        stop_gap=CENSOR_BIAS_TOL)
     p_x0 = prof.at(x0)
     timings["extinction"] = time.perf_counter() - t0
 

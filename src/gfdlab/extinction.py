@@ -9,13 +9,13 @@ Walking the recursion p_{n+1} = F(p_n) from p_0 = 0 gives p_n, the
 probability of extinction within n generations, which increases to the
 minimal fixed point.
 
-Near criticality that walk converges slowly, so ``generation_curve``
-takes the fixed point from Newton's method instead: F is monotone and
-convex, and Newton's iteration started below the minimal fixed point
-rises monotonically to it, quadratically when the process is
-supercritical (Hautphenne, Latouche & Remiche, Linear Algebra Appl.
-428, 2008). The walk then runs only as far as the censor ladder needs
-its p_n. ``solve_extinction`` still walks to convergence.
+Both solvers walk it with one loop and one stop rule (``_Walk``). Near
+criticality the walk is slow, so ``generation_curve`` stops it at the
+first censor rung, or sooner, and Newton's method started there gives
+the fixed point: F is monotone and convex, and Newton's iteration
+started below the minimal fixed point rises monotonically to it,
+quadratically when the process is supercritical (Hautphenne, Latouche
+& Remiche, Linear Algebra Appl. 428, 2008).
 
 Discretization: midpoint mass grid x_i = (i - 1/2) h with h = M/n. The
 per-cell rate exponents c_j = h (b_j + D)/g_j accumulate in log space,
@@ -66,11 +66,9 @@ class MassGrid:
 class ExtinctionProfile:
     """Tabulated extinction probability with provenance tags.
 
-    ``tag`` is ``generation`` for one more step of the recursion,
-    ``fixed_point`` for a converged solve, ``unconverged`` otherwise.
-    ``generations`` counts the steps of the recursion walked,
-    ``newton_steps`` the Newton steps taken, and ``last_delta`` is the
-    sup norm of the last of either that produced ``values``.
+    ``tag`` is ``fixed_point`` for a converged solve, ``unconverged``
+    otherwise; ``generations`` counts the steps of the recursion walked
+    and ``newton_steps`` the Newton steps taken.
     """
 
     grid: MassGrid
@@ -79,7 +77,6 @@ class ExtinctionProfile:
     D: float
     generations: int
     tag: str
-    last_delta: float = float("nan")
     newton_steps: int = 0
 
     def at(self, x):
@@ -245,55 +242,57 @@ def _newton(stepper, p, tol, max_iter):
     return p, max_iter, size
 
 
+class _Walk:
+    """The recursion p_{n+1} = F(p_n) under its one stop rule.
+
+    It has settled once the sup delta of a step and the projected
+    geometric tail delta r / (1 - r) are below ``tol``, r the ratio of
+    the last two steps, or once r >= 1. Calls to ``to`` keep r.
+    """
+
+    def __init__(self, stepper, p, tol):
+        self.stepper, self.p, self.tol = stepper, p, tol
+        self.generations, self.settled, self._delta = 0, False, np.inf
+
+    def to(self, limit):
+        """Step until ``limit`` generations are walked or the walk settles."""
+        while self.generations < limit and not self.settled:
+            p, self.p = self.p, self.stepper.step(self.p)
+            delta = float(np.max(np.abs(self.p - p)))
+            self.generations += 1
+            if delta < self.tol:
+                r = delta / self._delta
+                self.settled = r >= 1.0 or delta * r / (1.0 - r) < self.tol
+            self._delta = delta
+
+
 def solve_extinction(model, S, D, grid_n=512, tol=1e-8, max_generations=10000,
                      alpha_nodes=129, start=0.0):
-    """Iterate the generation recursion to its fixed point.
+    """Walk the generation recursion from the constant profile ``start``.
 
-    Starting from the constant profile ``start`` (0 gives the increasing
-    sequence converging to the minimal fixed point). Stops when the sup
-    change falls below ``tol``; the profile is tagged ``unconverged``
-    when ``max_generations`` pass first.
+    From 0 it rises to the minimal fixed point. The profile is tagged
+    ``unconverged`` when ``max_generations`` pass before the walk settles.
     """
     grid = MassGrid(grid_n, model.max_mass)
-    stepper = _Stepper(model, S, D, grid, alpha_nodes)
-    p = np.full(grid_n, float(start))
-    delta = np.inf
-    delta_prev = np.inf
-    gens = 0
-    done = False
-    for gens in range(1, max_generations + 1):
-        p_next = stepper.step(p)
-        delta = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if delta < tol:
-            # geometric iteration: the remaining distance to the fixed
-            # point is about delta * r / (1 - r), so stop only once that
-            # projected tail is also below tol
-            ratio = delta / delta_prev if delta_prev > 0 else 0.0
-            done = ratio >= 1.0 or delta * ratio / (1.0 - ratio) < tol
-            if done:
-                break
-        delta_prev = delta
-    tag = "fixed_point" if done else "unconverged"
-    return ExtinctionProfile(grid=grid, values=p, S=S, D=D,
-                             generations=gens, tag=tag, last_delta=delta)
+    walk = _Walk(_Stepper(model, S, D, grid, alpha_nodes),
+                 np.full(grid_n, float(start)), tol)
+    walk.to(max_generations)
+    return ExtinctionProfile(grid=grid, values=walk.p, S=S, D=D,
+                             generations=walk.generations,
+                             tag="fixed_point" if walk.settled else "unconverged")
 
 
 def generation_curve(model, S, D, x0, checkpoints, grid_n=512, tol=1e-8,
-                     max_generations=10000, alpha_nodes=129, stop_gap=None):
+                     alpha_nodes=129, stop_gap=None):
     """Extinction-within-n-generations probabilities at one starting mass.
 
     Returns (profile, curve): profile is the minimal fixed point and
-    curve maps each checkpoint n to p_n(x0). The recursion walks from
-    p = 0 to the first checkpoint, where Newton's method started from
-    that p_n gives the fixed point; the walk then goes on from checkpoint
-    to checkpoint and stops once it is within ``tol`` of the fixed point
-    in sup norm, or, with ``stop_gap``, at the first checkpoint whose gap
-    p(x0) - p_n(x0) is below ``stop_gap``. Checkpoints past the stop read
-    the fixed point. With no checkpoints Newton starts from p = 0. The
-    walk never passes ``max_generations``, and it runs to the last
-    checkpoint when Newton does not converge; the profile is then
-    tagged ``unconverged``.
+    curve maps each checkpoint n to p_n(x0). The walk from p = 0 stops at
+    the first checkpoint, or before it once settled, and Newton's method
+    starts there. The walk then goes on to each checkpoint in turn until
+    it settles or, with ``stop_gap``, until p(x0) - p_n(x0) < ``stop_gap``;
+    later checkpoints read the fixed point. A failed Newton iteration
+    tags the profile ``unconverged`` and voids ``stop_gap``.
 
     The gap p(x0) - p_n(x0) is exactly the probability that a lineage
     is still alive at generation n yet dies out later, which is the
@@ -303,34 +302,25 @@ def generation_curve(model, S, D, x0, checkpoints, grid_n=512, tol=1e-8,
     grid = MassGrid(grid_n, model.max_mass)
     stepper = _Stepper(model, S, D, grid, alpha_nodes)
     checkpoints = sorted(int(c) for c in checkpoints)
-    p = np.zeros(grid_n)
-    gens = min(checkpoints[0], max_generations) if checkpoints else 0
-    for _ in range(gens):
-        p = stepper.step(p)
-    fixed, steps, size = _newton(stepper, p, tol, NEWTON_MAX_STEPS)
+    walk = _Walk(stepper, np.zeros(grid_n), tol)
+    walk.to(checkpoints[0] if checkpoints else 0)
+    fixed, steps, size = _newton(stepper, walk.p, tol, NEWTON_MAX_STEPS)
     converged = size < tol
     p_x0 = float(np.interp(x0, grid.x, fixed))
-
-    def reached():
-        return converged and float(np.max(np.abs(p - fixed))) < tol
-
     curve = {}
     for c in checkpoints:
-        while gens < min(c, max_generations) and not reached():
-            p = stepper.step(p)
-            gens += 1
-        if gens < c:
+        walk.to(c)
+        if walk.settled:
             break
-        curve[c] = float(np.interp(x0, grid.x, p))
-        if reached() or (converged and stop_gap is not None
-                         and abs(p_x0 - curve[c]) < stop_gap):
+        curve[c] = float(np.interp(x0, grid.x, walk.p))
+        if converged and stop_gap is not None and abs(p_x0 - curve[c]) < stop_gap:
             break
     for c in checkpoints:
         curve.setdefault(c, p_x0)
     profile = ExtinctionProfile(grid=grid, values=fixed, S=S, D=D,
-                                generations=gens,
+                                generations=walk.generations,
                                 tag="fixed_point" if converged else "unconverged",
-                                last_delta=size, newton_steps=steps)
+                                newton_steps=steps)
     return profile, curve
 
 

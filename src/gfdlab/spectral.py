@@ -96,18 +96,13 @@ def assemble_operator(model, S, D, grid):
             i, j = half.col[keep], half.row[keep]
             A[i, j] += 2.0 * b[j] * half.data[keep]
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alpha = x[:, None] / x[None, :]
-            q = np.zeros((n, n))
-            strict = np.triu(np.ones((n, n), dtype=bool), k=1)
-            qv = model.kernel.density(
-                np.broadcast_to(x[None, :], (n, n))[strict], alpha[strict])
-            q[strict] = qv
             for j in np.nonzero(divider)[0]:
-                mass = q[:, j].sum()
+                q = np.zeros(n)
+                q[:j] = model.kernel.density(x[j], x[:j] / x[j])
+                mass = q.sum()
                 if mass > 0.0:
                     # column sum is exactly 2 b_j: two daughters per division
-                    A[:, j] += 2.0 * b[j] * q[:, j] / mass
+                    A[:, j] += 2.0 * b[j] * q / mass
                 else:
                     A[0, j] += 2.0 * b[j]
     return A

@@ -106,6 +106,19 @@ def test_missed_censor_bound_is_reported(tmp_path, monkeypatch, caplog):
     assert float(line.rsplit(",", 1)[1]) == row.censor_bias
 
 
+def test_max_generations_does_not_cap_the_censor_ladder():
+    # [solver] max_generations caps solve_extinction only: a cap below a
+    # rung must not make that rung read the fixed point and hide its bias
+    cfg = benchmarks.named_config("LOGRAMP")
+    cfg = replace(cfg, env=EnvironmentRange(s_values=(16.0,), d_values=(1.0,)),
+                  solver=replace(cfg.solver, grid_n=256),
+                  simulation=replace(cfg.simulation, trials=20))
+    capped = replace(cfg, solver=replace(cfg.solver, max_generations=50))
+    row, capped_row = run_sweep(cfg).rows[0], run_sweep(capped).rows[0]
+    assert capped_row.gen_limit == row.gen_limit == 1600
+    assert capped_row.censor_bias == row.censor_bias > 0.0
+
+
 def test_sweep_csv_byte_identical(tmp_path):
     cfg = small_config()
     run_sweep(cfg, out_dir=str(tmp_path / "a"))

@@ -301,6 +301,31 @@ def test_stop_gap_stops_at_the_censor_rung():
     assert prof.tag == "fixed_point"
 
 
+def test_settled_walk_takes_one_newton_step():
+    # the walk settles long before the first rung, and one Newton step
+    # lands where Newton started at the rung itself lands
+    m = benchmarks.logramp_model()
+    prof, curve = generation_curve(m, 0.25, 1.5, 0.5, CENSOR_LADDER)
+    assert prof.generations < CENSOR_LADDER[0]
+    assert prof.newton_steps == 1 and prof.tag == "fixed_point"
+    stepper = _Stepper(m, 0.25, 1.5, MassGrid(512, 1.0))
+    fixed, _, _ = _newton(stepper, _walked(stepper, CENSOR_LADDER[0]),
+                          1e-8, 50)
+    assert np.max(np.abs(prof.values - fixed)) < 1e-14
+    assert set(curve.values()) == {prof.at(0.5)}
+
+
+def test_checkpoints_do_not_reset_the_tail_rule():
+    # one rung per generation: a walk that forgot the last step at each
+    # rung would take every small step for a settled one
+    m = benchmarks.logramp_model()
+    g = solve_extinction(m, 2.0, 0.6, grid_n=128).generations
+    prof, curve = generation_curve(m, 2.0, 0.6, 0.5, range(1, 2 * g + 1),
+                                   grid_n=128)
+    assert prof.generations == g
+    assert curve[2 * g] == prof.at(0.5) != curve[g - 1]
+
+
 def test_csv_header_counts_newton_steps(tmp_path):
     m = benchmarks.logramp_model()
     prof, _ = generation_curve(m, 1.0, 0.6, 0.5, (100,), grid_n=64)

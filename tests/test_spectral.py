@@ -1,5 +1,7 @@
 """Eigenvalue solver: oracles, matrix structure, normalizations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,21 @@ def test_equal_mitosis_daughters_land_at_half_mass(make):
     assert np.count_nonzero(inside) >= n // 2
     assert np.allclose((x @ frag)[inside], (b * x)[inside],
                        rtol=1e-12, atol=0.0)
+
+
+def test_assembly_holds_one_dense_array():
+    # the fragmentation block is filled a column at a time, so the
+    # matrix is the only n x n array alive
+    m = benchmarks.logramp_model()
+    grid = MassGrid(512, m.max_mass)
+    tracemalloc.start()
+    try:
+        A = assemble_operator(m, 2.0, 0.6, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (grid.n, grid.n)
+    assert peak < 1.5 * grid.n ** 2 * 8
 
 
 def test_lambda_monotone_in_resource():
