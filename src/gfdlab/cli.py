@@ -95,7 +95,6 @@ class SweepResult:
     x0: float
     rows: list = field(default_factory=list)
     profiles: dict = field(default_factory=dict)
-    solutions: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
 
     @property
@@ -241,7 +240,6 @@ def run_sweep(config, out_dir=None, workers=None):
                 workers=workers, pool=pool)
             result.rows.append(row)
             result.profiles[(S, D)] = prof
-            result.solutions[(S, D)] = sol
             result.wall_times[(S, D)] = timings
             if csv_fh is not None:
                 csv_fh.write(_row_csv(row) + "\n")

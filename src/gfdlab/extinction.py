@@ -3,8 +3,8 @@
 The probability p(x) that a lineage started from mass x dies out solves
 a fixed-point equation p = F(p): integrating along the flow, the first
 event at mass y is a death with weight D/g(y) or a division with weight
-b(y)/g(y), discounted by the survival factor W(x, y) = exp(-int_x^y
-(b+D)/g), and a division requires both daughter lines to die out.
+b(y)/g(y), discounted by the survival factor exp(-int_x^y (b+D)/g),
+and a division requires both daughter lines to die out.
 Walking the recursion p_{n+1} = F(p_n) from p_0 = 0 gives p_n, the
 probability of extinction within n generations, which increases to the
 minimal fixed point.
@@ -18,13 +18,17 @@ quadratically when the process is supercritical (Hautphenne, Latouche
 & Remiche, Linear Algebra Appl. 428, 2008).
 
 Discretization: midpoint mass grid x_i = (i - 1/2) h with h = M/n. The
-per-cell rate exponents c_j = h (b_j + D)/g_j accumulate in log space,
-and the outer integral uses the product rule that is exact for piecewise
-constant rates: cell j contributes the exact decrement of W across it
-times the event split (D + b Phi)/(D + b) at the cell midpoint. A plain
-midpoint rule is badly wrong near x = 0 where (b + D)/g has a pole; the
-product rule keeps every weight in [0, 1] and telescopes exactly. The
-two-daughter term Phi uses quadrature nodes that depend only on the
+outer integral uses the product rule that is exact for piecewise
+constant rates: cell j contributes the exact decrement of the survival
+factor across it times the event split (D + b Phi)/(D + b) at the cell
+midpoint. A plain midpoint rule is badly wrong near x = 0 where
+(b + D)/g has a pole; the product rule keeps every weight in [0, 1] and
+telescopes exactly. The weights form W = L^-1 C. With half_i =
+exp(-h (b_i + D)/(2 g_i)), the survival factor over half a cell, and
+rho_i = half_i half_{i+1}, L = I - rho on the superdiagonal and C is
+bidiagonal (diagonal 1 - half_i, superdiagonal half_i - rho_i). So a
+generation is one backward two-term sweep, and no factor can overflow.
+The two-daughter term Phi uses quadrature nodes that depend only on the
 kernel and the grid; its interpolation stencils are sparse matrices
 built once per (kernel, grid) and shared by every (S, D) cell.
 """
@@ -37,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtbtrs
 
 from .kernels import support_quadrature_batch
 
@@ -139,15 +143,35 @@ def _daughter_tables(kernel, n, max_mass, alpha_nodes):
     return lo, hi, wq, rows
 
 
-class _Daughters:
-    """Division rate and the two-daughter tables of a (kernel, grid)."""
+class _Stepper:
+    """One-generation update for a fixed (model, S, D, grid): L, C and
+    the event split, O(n) on top of the shared daughter tables."""
 
-    def __init__(self, model, S, grid, alpha_nodes=129):
+    def __init__(self, model, S, D, grid, alpha_nodes=129):
+        x, h = grid.x, grid.h
+        g = np.asarray(model.g(S, x), dtype=float)
+        if np.any(g <= 0):
+            raise ValueError("growth must be positive on the interior grid")
         self.grid = grid
-        self.b = np.asarray(model.b(S, grid.x), dtype=float)
+        self.b = np.asarray(model.b(S, x), dtype=float)
         self.tables = _daughter_tables(model.kernel, grid.n, grid.max_mass,
                                        alpha_nodes)
         self.lo, self.hi, self.wq, self.rows = self.tables
+        rate = self.b + D
+        half = np.exp(-0.5 * h * rate / g)
+        rho = half[:-1] * half[1:]
+        # L in LAPACK's upper band storage, C by its two diagonals
+        self.band = np.ones((2, grid.n), order="F")
+        self.band[0, 1:] = -rho
+        self.diag, self.upper = 1.0 - half, half[:-1] - rho
+        # The right edge of the last cell is M itself, where g vanishes.
+        # With b + D positive there the exponent integral diverges, so no
+        # lineage reaches M; half a cell would leak O(h) event probability.
+        if float(np.asarray(model.b(S, grid.max_mass))) + D > 0.0:
+            self.diag[-1] = 1.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.death_frac = np.where(rate > 0, D / rate, 0.0)
+            self.birth_frac = np.where(rate > 0, self.b / rate, 0.0)
 
     def two_daughter_term(self, p):
         """Phi(y_j) = int q(y_j, a) p(a y_j) p((1-a) y_j) da on the grid."""
@@ -156,64 +180,32 @@ class _Daughters:
         return ((self.lo @ p) * (self.hi @ p) * self.wq).reshape(
             self.grid.n, -1).sum(axis=1)
 
-
-class _Stepper(_Daughters):
-    """Precomputed one-generation update for a fixed (model, S, D, grid)."""
-
-    def __init__(self, model, S, D, grid, alpha_nodes=129):
-        x, h = grid.x, grid.h
-        g = np.asarray(model.g(S, x), dtype=float)
-        if np.any(g <= 0):
-            raise ValueError("growth must be positive on the interior grid")
-        super().__init__(model, S, grid, alpha_nodes)
-        rate = self.b + D
-        c = h * rate / g
-        cum = np.cumsum(c)
-        # Survival factor W from x_i (cell midpoint) to the right edge of
-        # cell j >= i, built in place so that at most two n x n arrays
-        # are alive; below the diagonal exp overflows and is then zeroed
-        W = cum[None, :] - cum[:, None]
-        W += 0.5 * c[:, None]
-        np.negative(W, out=W)
-        with np.errstate(over="ignore"):
-            np.exp(W, out=W)
-        W[np.tri(grid.n, k=-1, dtype=bool)] = 0.0
-        # The right edge of the last cell is M itself, where g vanishes.
-        # With b + D positive there the exponent integral diverges, so the
-        # survival factor to M is exactly zero; the truncated cumulative
-        # sum would instead leak O(h) event probability out of the domain.
-        if float(np.asarray(model.b(S, grid.max_mass))) + D > 0.0:
-            W[:, -1] = 0.0
-        # the drop of W across cell j; zero below the diagonal, as W is
-        self.weights = np.empty_like(W)
-        self.weights[:, 0] = 0.0
-        np.subtract(W[:, :-1], W[:, 1:], out=self.weights[:, 1:])
-        idx = np.arange(grid.n)
-        self.weights[idx, idx] = 1.0 - W[idx, idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.death_frac = np.where(rate > 0, D / rate, 0.0)
-            self.birth_frac = np.where(rate > 0, self.b / rate, 0.0)
-
     def step(self, p):
-        phi = self.two_daughter_term(p)
-        frac = self.death_frac + self.birth_frac * phi
-        return np.clip(self.weights @ frac, 0.0, 1.0)
+        frac = self.death_frac + self.birth_frac * self.two_daughter_term(p)
+        cf = self.diag * frac
+        cf[:-1] += self.upper * frac[1:]
+        # the backward sweep z_i = (C frac)_i + rho_i z_{i+1}
+        return np.clip(dtbtrs(self.band, cf, diag="U", overwrite_b=1)[0],
+                       0.0, 1.0)
 
     def newton_matrix(self, p):
-        """I - F'(p) for the step F, Fortran-ordered for an in-place LU.
+        """L (I - F'(p)) for the step F, Fortran-ordered for an in-place LU.
 
-        F'(p) = W diag(b/(b+D)) dPhi/dp, and by the product rule
+        F'(p) = L^-1 C diag(b/(b+D)) dPhi/dp, and by the product rule
         dPhi/dp = R diag(hi p) lo + R diag(lo p) hi, with R the
         weighted row sum of the quadrature nodes.
         """
         low, high = self.lo @ p, self.hi @ p
         jac = (self.rows.multiply(high) @ self.lo
                + self.rows.multiply(low) @ self.hi).toarray(order="F")
-        jac *= -self.birth_frac[:, None]
-        # W is upper triangular: a triangular product in place, half a gemm
-        jac = dtrmm(1.0, self.weights.T, jac, lower=1, trans_a=1,
-                    overwrite_b=1)
-        jac[np.diag_indices(self.grid.n)] += 1.0
+        # -C diag(b/(b+D)): row i becomes -(b/(b+D))_i diag_i row_i
+        # - (b/(b+D))_{i+1} upper_i row_{i+1}
+        nxt = (self.upper * -self.birth_frac[1:])[:, None] * jac[1:]
+        jac *= (self.diag * -self.birth_frac)[:, None]
+        jac[:-1] += nxt
+        idx = np.arange(self.grid.n)
+        jac[idx, idx] += 1.0
+        jac[idx[:-1], idx[1:]] += self.band[0, 1:]
         return jac
 
 
@@ -232,9 +224,11 @@ def _newton(stepper, p, tol, max_iter):
         residual = stepper.step(p) - p
         if not np.any(residual):
             return p, steps - 1, 0.0
+        # the Newton matrix is L (I - F'(p)), so solve against L residual
+        rhs = residual.copy()
+        rhs[:-1] += stepper.band[0, 1:] * residual[1:]
         dp = lu_solve(lu_factor(stepper.newton_matrix(p), overwrite_a=True,
-                                check_finite=False),
-                      residual, check_finite=False)
+                                check_finite=False), rhs, check_finite=False)
         p = np.clip(p + dp, 0.0, 1.0)
         size = float(np.max(np.abs(dp)))
         if size < tol:
@@ -333,10 +327,10 @@ def fixed_point_residual(profile, model, S, D, alpha_nodes=129):
     ends), so the defect measures solver plus differencing error.
     """
     grid = profile.grid
-    daughters = _Daughters(model, S, grid, alpha_nodes)
+    stepper = _Stepper(model, S, D, grid, alpha_nodes)
     p = np.asarray(profile.values, dtype=float)
     g = np.asarray(model.g(S, grid.x), dtype=float)
     dp = np.gradient(p, grid.x)
-    phi = daughters.two_daughter_term(p)
-    res = g * dp + D * (1.0 - p) + daughters.b * (phi - p)
+    phi = stepper.two_daughter_term(p)
+    res = g * dp + D * (1.0 - p) + stepper.b * (phi - p)
     return float(np.max(np.abs(res)))

@@ -86,25 +86,29 @@ def assemble_operator(model, S, D, grid):
     A[idx[1:], idx[:-1]] += g_edge[1:-1] / h
     A[idx, idx] -= D + b
 
-    divider = b > 0.0
-    if np.any(divider):
-        if model.kernel.is_degenerate:
-            # point kernel: both daughters of column j land at x_j / 2,
-            # spread by row j of the interpolation stencil
-            half = _interp_matrix(x / 2.0, x).tocoo()
-            keep = divider[half.row]
-            i, j = half.col[keep], half.row[keep]
-            A[i, j] += 2.0 * b[j] * half.data[keep]
-        else:
-            for j in np.nonzero(divider)[0]:
-                q = np.zeros(n)
-                q[:j] = model.kernel.density(x[j], x[:j] / x[j])
-                mass = q.sum()
-                if mass > 0.0:
-                    # column sum is exactly 2 b_j: two daughters per division
-                    A[:, j] += 2.0 * b[j] * q / mass
-                else:
-                    A[0, j] += 2.0 * b[j]
+    dividers = np.nonzero(b > 0.0)[0]
+    if model.kernel.is_degenerate:
+        # point kernel: both daughters of column j land at x_j / 2,
+        # spread by row j of the interpolation stencil
+        half = _interp_matrix(x / 2.0, x).tocoo()
+        keep = b[half.row] > 0.0
+        i, j = half.col[keep], half.row[keep]
+        A[i, j] += 2.0 * b[j] * half.data[keep]
+    elif dividers.size:
+        # 32 divider columns per density call. Row c of q is column j[c],
+        # zero from row j[c] on, so each sum runs over a contiguous row of
+        # n and rounds as the sum of that column alone does
+        for j in np.split(dividers, range(32, dividers.size, 32)):
+            q = np.zeros((j.size, n))
+            q[:, :j[-1]] = model.kernel.density(
+                x[j, None], x[None, :j[-1]] / x[j, None])
+            q[np.arange(n) >= j[:, None]] = 0.0
+            mass = q.sum(axis=1)
+            empty = mass == 0.0
+            # column sum is exactly 2 b_j: two daughters per division
+            A[:, j] += (2.0 * b[j, None] * q
+                        / np.where(empty, 1.0, mass)[:, None]).T
+            A[0, j[empty]] += 2.0 * b[j[empty]]
     return A
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from gfdlab import benchmarks
 from gfdlab.cli import CENSOR_BIAS_TOL, CENSOR_LADDER
-from gfdlab.extinction import (ExtinctionProfile, MassGrid, _Daughters,
-                               _interp_matrix, _newton, _Stepper,
+from gfdlab.extinction import (ExtinctionProfile, MassGrid, _interp_matrix,
+                               _newton, _Stepper,
                                fixed_point_residual, generation_curve,
                                solve_extinction)
 
@@ -191,7 +191,8 @@ def test_interp_matrix_follows_np_interp():
 
 
 def _dense_weights(model, S, D, grid):
-    """The stepper's weights by the dense formula, one n x n copy per step."""
+    """The recursion's n x n weights by the dense formula: entry (i, j) is
+    the chance that the first event from x_i falls in cell j."""
     x, h = grid.x, grid.h
     rate = np.asarray(model.b(S, x), dtype=float) + D
     c = h * rate / np.asarray(model.g(S, x), dtype=float)
@@ -212,25 +213,31 @@ def _dense_weights(model, S, D, grid):
     (benchmarks.logramp_model, 2.0, 0.6),
     (benchmarks.logramp_model, 16.0, 1.0),
 ])
-def test_stepper_weights_built_in_two_arrays(make, S, D):
+def test_step_matches_dense_weights_in_linear_memory(make, S, D):
     m = make()
-    grid = MassGrid(512, m.max_mass)
-    _Stepper(m, S, D, grid)            # the cached daughter tables
-    tracemalloc.start()
-    try:
-        stepper = _Stepper(m, S, D, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(stepper.weights, _dense_weights(m, S, D, grid))
-    assert peak < 2.5 * grid.n ** 2 * 8
+    for n in (512, 2048):
+        grid = MassGrid(n, m.max_mass)
+        _Stepper(m, S, D, grid)            # the cached daughter tables
+        tracemalloc.start()
+        try:
+            stepper = _Stepper(m, S, D, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n * 8
+        weights = _dense_weights(m, S, D, grid)
+        for p in (np.zeros(n), _walked(stepper, 30), np.ones(n)):
+            frac = (stepper.death_frac
+                    + stepper.birth_frac * stepper.two_daughter_term(p))
+            assert np.max(np.abs(stepper.step(p) - np.clip(
+                weights @ frac, 0.0, 1.0))) <= 1e-14
 
 
 def test_daughter_tables_shared_across_cells():
     m = benchmarks.logramp_model()
     grid = MassGrid(128, 1.0)
-    a = _Daughters(m, 1.0, grid)
-    b = _Daughters(m, 4.0, grid)
+    a = _Stepper(m, 1.0, 0.6, grid)
+    b = _Stepper(m, 4.0, 1.0, grid)
     assert a.tables is b.tables
 
 
@@ -246,8 +253,11 @@ def test_newton_matrix_matches_finite_difference():
         e = np.zeros(64)
         e[j] = eps
         jac[:, j] = (stepper.step(p + e) - stepper.step(p - e)) / (2 * eps)
-    ours = np.eye(64) - stepper.newton_matrix(p)
-    assert np.max(np.abs(ours - jac)) <= 1e-6 * np.max(np.abs(jac))
+    # Newton's matrix is L (I - F'(p)), L = I - rho on the superdiagonal
+    lower = np.eye(64) + np.diag(stepper.band[0, 1:], 1)
+    ref = lower @ (np.eye(64) - jac)
+    assert np.max(np.abs(stepper.newton_matrix(p) - ref)) \
+        <= 1e-6 * np.max(np.abs(lower @ jac))
 
 
 @pytest.mark.parametrize("S, D", [(16.0, 1.0), (1.0, 0.6), (0.25, 0.3)])

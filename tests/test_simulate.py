@@ -89,6 +89,22 @@ def test_first_event_distribution(model):
                                                                 abs=0.03)
 
 
+@pytest.mark.parametrize("family, beta", [
+    ("uniform", 0.0), ("beta_ramp", 0.5), ("beta_ramp", 2.0),
+    ("equal_mitosis", 0.0), ("asymmetric_debug", 0.0)])
+@pytest.mark.parametrize("l0, l1", [(0.25, 0.0), (0.1, 0.3), (0.45, -0.45)])
+def test_fraction_sampler_is_the_inverse_cdf(family, beta, l0, l1):
+    # the trial engine draws fractions through this closure, not through
+    # the kernel's inverse_cdf or sample
+    k = DivisionKernel(family=family, l0=l0, l1=l1, beta=beta, max_mass=2.0)
+    fraction_of = _make_fraction_sampler(k)
+    rng = np.random.default_rng(7)
+    us = np.concatenate([[0.0, 0.25, 0.5, 0.75], rng.random(200)])
+    for m in (1e-3, 0.5, 1.0, 1.999):
+        for u in us:
+            assert abs(fraction_of(m, u) - k.inverse_cdf(m, u)) <= 2.2e-16
+
+
 def test_simulate_deterministic(model):
     a = simulate(model, 1.0, 1.0, 0.5, seed=11, trial=3)
     b = simulate(model, 1.0, 1.0, 0.5, seed=11, trial=3)
